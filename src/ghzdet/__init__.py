@@ -15,7 +15,7 @@ from .lhv import (
     mermin_f,
 )
 from .montecarlo import RunConfig, RunStats, compare_analytic, run
-from .quantum import ghz_state, ghz_witness, operator_expectation, sample_outcomes
+from .quantum import ghz_state, ghz_witness, operator_expectation
 
 __all__ = [
     "CorrelationSet",
@@ -37,7 +37,6 @@ __all__ = [
     "mermin_f",
     "operator_expectation",
     "run",
-    "sample_outcomes",
 ]
 
 __version__ = "0.1.0"

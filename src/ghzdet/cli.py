@@ -149,6 +149,8 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.gamma_steps < 2 or args.d_steps < 2:
         raise ValueError("step counts must be >= 2")
+    if args.contour is not None and args.mode != "approx":
+        raise ValueError("--contour inverts only the approx model; use --mode approx")
     if not 0.0 < args.gamma_min <= args.gamma_max <= 1.0:
         raise ValueError("gamma bounds must satisfy 0 < min <= max <= 1")
     if not 0.0 < args.d_min <= args.d_max <= 1.0:
@@ -398,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--chunk-size", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--events", help="write a per-trial event log to this path")
+    p.add_argument("--chunk-size", type=int, help="accepted for compatibility; no effect")
+    p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
+    p.add_argument("--events", help="write one line per fourfold coincidence to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

@@ -11,12 +11,16 @@ deviations from the classical boundary 0.5.
 Single-pair arrivals are aggregated over the ten detector combinations
 TD1, TD2, TD3, D1D2, D1D3, D2D3, D1D1, D2D2, D3D3, TT by plain addition
 (six distinct-detector terms plus four same-detector terms), mirroring the
-closed-form aggregate this model is built around.
+closed-form aggregate this model is built around.  The Monte Carlo in
+:mod:`ghzdet.montecarlo` does not use these formulas: it draws each
+detector's firing on its own and takes the exact union over the channels,
+which the sum matches to first order in the channel probabilities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 SEPARATION_CAP = 1e6
 GAMMA_BRACKET_MAX = 1e-3
@@ -221,34 +225,21 @@ def sigma_separation(e: float, boundary: float = 0.5) -> float:
 def find_gamma_for_correlation(
     d: float, ratio: float, e_target: float, e_ghz: float = 1.0
 ) -> float:
-    """Invert the approx-mode correlation for gamma by bisection.
+    """Invert the approx-mode correlation for gamma in closed form.
 
-    The approx correlation is strictly decreasing in gamma at fixed d and
-    ratio; the root is bracketed in [0, GAMMA_BRACKET_MAX] and refined to
-    1e-12 absolute tolerance.
+    E = e_ghz / (1 + 6 ratio gamma^2 / d^2) gives
+    gamma = d sqrt((e_ghz/E - 1) / (6 ratio)).  Targets that need
+    gamma > GAMMA_BRACKET_MAX are rejected as not reached.
     """
     if not 0.0 < e_target <= e_ghz:
         raise ValueError(f"target {e_target} must lie in (0, e_ghz={e_ghz}]")
-
-    def f(gamma: float) -> float:
-        return (
-            corrected_correlation(
-                DetectorParams.from_ratio(d, gamma, ratio, e_ghz), mode="approx"
-            )
-            - e_target
-        )
-
-    lo, hi = 0.0, GAMMA_BRACKET_MAX
-    if f(lo) < 0.0:
-        raise ValueError("target correlation above the gamma=0 value")
-    if f(hi) > 0.0:
+    DetectorParams.from_ratio(d, 0.0, ratio, e_ghz)  # validates d, ratio and e_ghz
+    excess = e_ghz / e_target - 1.0
+    if excess == 0.0:
+        return 0.0
+    gamma = d * math.sqrt(excess / (6.0 * ratio)) if d > 0.0 and ratio > 0.0 else math.inf
+    if gamma > GAMMA_BRACKET_MAX:
         raise ValueError(
             f"target correlation not reached within gamma <= {GAMMA_BRACKET_MAX}"
         )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return gamma

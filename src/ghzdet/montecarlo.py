@@ -1,4 +1,4 @@
-"""Seeded event-level simulation of the coincidence experiment.
+"""Seeded count-level simulation of the coincidence experiment.
 
 Each trial is one coincidence window: a creation event (single pair or double
 pair), photon arrivals, detection with efficiency d, dark counts with
@@ -6,22 +6,32 @@ probability gamma, fourfold-coincidence conditioning, and the spin product of
 the three signal detectors.  Statistics are compared against the closed-form
 model in :mod:`ghzdet.detector`.
 
-Single-pair windows follow the additive-channel convention of the closed-form
-aggregate: the ten arrival combinations act as independent rare channels, so
-the per-window fourfold probability is 1 - prod_i(1 - q_i) ~= sum_i q_i, the
-sum the analytic model uses.  (Drawing a single combination per window and
-averaging would undercount the aggregate tenfold relative to that model.)
+Windows are independent and so are the detectors inside a window, so n
+windows are simulated exactly by binomial thinning of counts, with a fixed
+number of draws whatever n is (Kachitvichyanukul & Schmeiser, CACM 31(2):216
+(1988), for the binomial sampler).  A detector fires with probability gamma
+on no photon, d + (1-d) gamma on one and d (1-d) + (1-d)^2 gamma on two (two
+photons at one detector register one count only if exactly one is detected).
 
-Reproducibility: trials are processed in fixed-size chunks; chunk c uses an
-independent generator seeded from (master_seed, c).  Tallies are merged by
-addition in chunk order, so results are identical for any worker count.
+* Single pairs: each of the ten arrival channels is an independent way for a
+  window to become a fourfold.  The windows not yet fourfold are thinned
+  through T, D1, D2, D3 channel by channel, which gives the exact union
+  1 - prod_i(1 - q_i) over channels without using the model's formulas.
+* Double pairs put one photon on each detector.  A fourfold is a correlated
+  quadruple when D1..D3 all fired on real photons; otherwise a dark count
+  took part and the product is uncorrelated.
+* Spins: correlated quadruples draw their outcome triples from the Born
+  probabilities of the setting, uncorrelated fourfolds a fair +-1 product.
+
+Reproducibility: the draws come from one generator seeded by the master seed
+alone, so a run depends only on (config, seed).  The optional event log draws
+from a second, independent substream and leaves the statistics unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -49,18 +59,24 @@ ARRIVAL_COUNTS = np.array(
     ],
     dtype=np.int64,
 )
-_SAME_DETECTOR = ARRIVAL_COUNTS.max(axis=1) == 2
+TWOPAIR_TAG = "TD1D2D3"
+EVENT_HEADER = "# creation,arrival,ghz,product"
+# Spin product s1 s2 s3 of each Born outcome index.
+_OUTCOME_PRODUCTS = quantum.OUTCOME_SIGNS.astype(np.int64).prod(axis=1)
 
 Z_FLAG_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A simulation run.  chunk_size and n_workers are validated but unused:
+    the kernel needs neither, and they are kept so existing callers and
+    config files still work."""
+
     params: DetectorParams
     setting: str
     n_trials: int
     master_seed: int
-    arrival_weights: Optional[tuple[float, ...]] = None
     chunk_size: int = 1_000_000
     n_workers: int = 1
 
@@ -74,27 +90,6 @@ class RunConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.arrival_weights is not None:
-            if len(self.arrival_weights) != 10:
-                raise ValueError("arrival_weights must have 10 entries")
-            if any(w < 0.0 for w in self.arrival_weights):
-                raise ValueError("arrival_weights must be nonnegative")
-            if sum(self.arrival_weights) <= 0.0:
-                raise ValueError("arrival_weights must sum to a positive value")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    creation: str  # "pair" or "twopair"
-    arrival: str  # arrival tag ("TD1", ..., "TT", or "TD1D2D3" for double pairs)
-    fired: tuple[bool, bool, bool, bool]  # (T, D1, D2, D3)
-    dark_flags: tuple[bool, bool, bool, bool]
-    classified_ghz: bool
-    product: Optional[int]  # ±1 when all four fired, else None
-
-    def __post_init__(self):
-        if (self.product is not None) != all(self.fired):
-            raise ValueError("product must be present exactly for fourfold trials")
 
 
 @dataclass(frozen=True)
@@ -114,267 +109,113 @@ class RunStats:
 @dataclass(frozen=True)
 class ComparisonReport:
     comparable: bool
-    analytic_e: float
+    analytic_e: Optional[float]
     analytic_p4: float
     z_correlation: Optional[float]
     z_fourfold: float
     flagged: bool
 
 
-def _channel_multiplicities(cfg: RunConfig) -> np.ndarray:
-    """Per-channel multiplicity, normalized so the default weights give 1 each.
+@dataclass(frozen=True)
+class _Counts:
+    """Fourfolds of one run, by kind; all products are tallied in sums."""
 
-    Channel i contributes m_i * q_i to the single-pair fourfold probability;
-    with the default (equal) weights the total is the plain sum over the ten
-    combinations, matching the closed-form aggregate.
-    """
-    if cfg.arrival_weights is None:
-        return np.ones(10)
-    w = np.asarray(cfg.arrival_weights, dtype=float)
-    return 10.0 * w / w.sum()
+    pair_by_channel: np.ndarray  # single-pair fourfolds per arrival channel
+    twopair_dark: int  # double-pair fourfolds with a dark count in D1..D3
+    ghz_outcomes: np.ndarray  # correlated quadruples per Born outcome index
+    uncorrelated_plus: int  # uncorrelated fourfolds with product +1
+
+    @property
+    def n_uncorrelated(self) -> int:
+        return int(self.pair_by_channel.sum()) + self.twopair_dark
 
 
-def _pair_channel_probs(cfg: RunConfig) -> np.ndarray:
-    """m_i * P(fourfold | pair at channel i) for the ten channels."""
+def _fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
+    """P(a detector fires) with 0, 1 and 2 photons on it."""
+    return gamma, d + (1.0 - d) * gamma, d * (1.0 - d) + (1.0 - d) ** 2 * gamma
+
+
+def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
+    """All cfg.n_trials windows by binomial thinning."""
     p = cfg.params
-    per_channel = np.where(
-        _SAME_DETECTOR,
-        detector.p4_pair_same(p.d, p.gamma),
-        detector.p4_pair_distinct(p.d, p.gamma),
-    )
-    return np.minimum(1.0, _channel_multiplicities(cfg) * per_channel)
+    fire = _fire_probabilities(p.d, p.gamma)
+    n_two = int(rng.binomial(cfg.n_trials, p.p_twopair))
+
+    left = cfg.n_trials - n_two  # single-pair windows not yet fourfold
+    pair_by_channel = np.zeros(len(ARRIVAL_COUNTS), dtype=np.int64)
+    for i, counts in enumerate(ARRIVAL_COUNTS):
+        k = left
+        for photons in counts:
+            k = rng.binomial(k, fire[photons])
+        pair_by_channel[i] = k
+        left -= k
+
+    # Double pairs, one photon per detector: T fires on a real photon or a
+    # dark count; D1..D3 split into "all real so far" and "some dark".
+    real = rng.binomial(n_two, fire[1])
+    dark = 0
+    for _ in range(3):
+        hit = rng.binomial(real, p.d)
+        dark = rng.binomial(dark, fire[1]) + rng.binomial(real - hit, p.gamma)
+        real = hit
+
+    born = quantum.outcome_probabilities(ghz_state(), cfg.setting)
+    ghz_outcomes = rng.multinomial(real, born)
+    n_uncorrelated = int(pair_by_channel.sum() + dark)
+    return _Counts(pair_by_channel, int(dark), ghz_outcomes, int(rng.binomial(n_uncorrelated, 0.5)))
 
 
-@dataclass
-class _Tally:
-    n_trials: int = 0
-    n_fourfold: int = 0
-    n_ghz: int = 0
-    sum_products: int = 0
-
-    def merge(self, other: "_Tally") -> None:
-        self.n_trials += other.n_trials
-        self.n_fourfold += other.n_fourfold
-        self.n_ghz += other.n_ghz
-        self.sum_products += other.sum_products
-
-
-def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, chunk_index]))
-
-
-def _simulate_chunk(cfg: RunConfig, chunk_index: int, n: int) -> _Tally:
-    """Vectorized simulation of one chunk of n trials."""
-    rng = _chunk_rng(cfg.master_seed, chunk_index)
-    p = cfg.params
-    tally = _Tally(n_trials=n)
-
-    twopair = rng.random(n) < p.p_twopair
-    n_pair = int(n - twopair.sum())
-    n_two = n - n_pair
-
-    # Single-pair windows: fourfold iff any of the ten rare channels fires.
-    q = _pair_channel_probs(cfg)
-    p_any = 1.0 - np.prod(1.0 - q)
-    pair_fourfold = rng.random(n_pair) < p_any
-    k_pair = int(pair_fourfold.sum())
-    if k_pair:
-        # Uncorrelated spins: the product is ±1 with equal probability.
-        products = rng.integers(0, 2, size=k_pair) * 2 - 1
-        tally.sum_products += int(products.sum())
-    tally.n_fourfold += k_pair
-
-    # Double-pair windows: one photon per detector.
-    if n_two:
-        real = rng.random((n_two, 4)) < p.d
-        dark = ~real & (rng.random((n_two, 4)) < p.gamma)
-        fired = real | dark
-        fourfold = fired.all(axis=1)
-        # Correlated quadruple: all three signal photons detected, trigger
-        # fired on a real photon or a dark count.
-        ghz = real[:, 1:].all(axis=1) & fired[:, 0]
-        k_ghz = int(ghz.sum())
-        k_bkg = int((fourfold & ~ghz).sum())
-        if k_ghz:
-            signs = quantum.sample_many(ghz_state(), cfg.setting, k_ghz, rng)
-            tally.sum_products += int(signs.prod(axis=1).sum())
-        if k_bkg:
-            products = rng.integers(0, 2, size=k_bkg) * 2 - 1
-            tally.sum_products += int(products.sum())
-        tally.n_fourfold += k_ghz + k_bkg
-        tally.n_ghz += k_ghz
-    return tally
-
-
-def _chunk_worker(args: tuple[RunConfig, int, int]) -> _Tally:
-    return _simulate_chunk(*args)
-
-
-def simulate_trial(cfg: RunConfig, rng: np.random.Generator) -> TrialOutcome:
-    """Simulate one coincidence window at full event-level detail.
-
-    Used for the per-trial event log and for inspection; :func:`run` uses a
-    vectorized path with the same event distribution.
-    """
-    p = cfg.params
-    if rng.random() < p.p_twopair:
-        real = rng.random(4) < p.d
-        dark = ~real & (rng.random(4) < p.gamma)
-        fired = real | dark
-        fourfold = bool(fired.all())
-        ghz = bool(real[1:].all() and fired[0])
-        product = None
-        if fourfold:
-            if ghz:
-                outcome = quantum.sample_outcomes(ghz_state(), cfg.setting, rng)
-                product = outcome.product()
-            else:
-                product = int(rng.integers(0, 2)) * 2 - 1
-        return TrialOutcome(
-            creation="twopair",
-            arrival="TD1D2D3",
-            fired=tuple(bool(f) for f in fired),
-            dark_flags=tuple(bool(f) for f in dark),
-            classified_ghz=ghz and fourfold,
-            product=product,
-        )
-
-    # Single pair: simulate each of the ten channels independently (the
-    # additive-channel convention); the window is a fourfold if any channel
-    # produces one.  Channels with multiplicity m < 1 are gated to probability
-    # m; m > 1 is not representable event-by-event and is capped at 1.
-    mult = _channel_multiplicities(cfg)
-    states = []
-    hit = None
-    for i in range(10):
-        counts = ARRIVAL_COUNTS[i]
-        if _SAME_DETECTOR[i]:
-            # Two photons at one detector: one count credited with
-            # probability d(1-d); with probability d^2 the window is vetoed
-            # for this channel (no credited count, no dark fill-in), leaving
-            # (1-d)^2 for the dark channel.  Matches the closed-form term.
-            u = rng.random()
-            real = np.zeros(4, dtype=bool)
-            real[counts == 2] = u < p.d * (1.0 - p.d)
-            vetoed = p.d * (1.0 - p.d) <= u < p.d * (1.0 - p.d) + p.d * p.d
-            dark = ~real & (rng.random(4) < p.gamma)
-            if vetoed:
-                dark[counts == 2] = False
-        else:
-            real = (counts == 1) & (rng.random(4) < p.d)
-            dark = ~real & (rng.random(4) < p.gamma)
-        fired = real | dark
-        gated = mult[i] > 0.0 and rng.random() < min(1.0, mult[i])
-        states.append((real, dark, fired))
-        if hit is None and gated and fired.all():
-            hit = i
-    if hit is not None:
-        _, dark, _ = states[hit]
-        return TrialOutcome(
-            creation="pair",
-            arrival=ARRIVAL_TAGS[hit],
-            fired=(True, True, True, True),
-            dark_flags=tuple(bool(f) for f in dark),
-            classified_ghz=False,
-            product=int(rng.integers(0, 2)) * 2 - 1,
-        )
-    # No fourfold: tag the window with a weight-drawn channel that did not
-    # fire all four (one always exists here except under m < 1 gating).
-    weights = mult / mult.sum()
-    order = list(rng.permutation(10))
-    candidates = [i for i in order if not states[i][2].all()] or order
-    weight_of = {i: weights[i] for i in candidates}
-    total = sum(weight_of.values())
-    u = rng.random() * total
-    acc = 0.0
-    chosen = candidates[-1]
-    for i in candidates:
-        acc += weight_of[i]
-        if u < acc:
-            chosen = i
-            break
-    real, dark, fired = states[chosen]
-    # Pathological fallback (all ten channels fourfold but gated out): keep
-    # the fourfold so the outcome invariant holds.
-    product = int(rng.integers(0, 2)) * 2 - 1 if fired.all() else None
-    return TrialOutcome(
-        creation="pair",
-        arrival=ARRIVAL_TAGS[chosen],
-        fired=tuple(bool(f) for f in fired),
-        dark_flags=tuple(bool(f) for f in dark),
-        classified_ghz=False,
-        product=product,
-    )
-
-
-def format_event(outcome: TrialOutcome) -> str:
-    """One trial as a log line: creation, arrival, fired bits, dark bits, spins."""
-    bits = "".join("1" if f else "0" for f in outcome.fired)
-    dark = "".join("1" if f else "0" for f in outcome.dark_flags)
-    product = "" if outcome.product is None else f"{outcome.product:+d}"
-    ghz = "ghz" if outcome.classified_ghz else "-"
-    return f"{outcome.creation},{outcome.arrival},{bits},{dark},{ghz},{product}"
-
-
-def _stats_from_tally(tally: _Tally) -> RunStats:
-    if tally.n_fourfold == 0:
-        return RunStats(
-            n_trials=tally.n_trials,
-            n_fourfold=0,
-            n_ghz_fourfold=0,
-            e_hat=None,
-            std_err=None,
-            p4_hat=0.0,
-        )
-    e_hat = tally.sum_products / tally.n_fourfold
-    std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(tally.n_fourfold)
+def _stats(n_trials: int, counts: _Counts) -> RunStats:
+    n_ghz = int(counts.ghz_outcomes.sum())
+    n_fourfold = n_ghz + counts.n_uncorrelated
+    if n_fourfold == 0:
+        return RunStats(n_trials, 0, 0, e_hat=None, std_err=None, p4_hat=0.0)
+    sum_products = int(counts.ghz_outcomes @ _OUTCOME_PRODUCTS)
+    sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
+    e_hat = sum_products / n_fourfold
+    std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
     return RunStats(
-        n_trials=tally.n_trials,
-        n_fourfold=tally.n_fourfold,
-        n_ghz_fourfold=tally.n_ghz,
+        n_trials=n_trials,
+        n_fourfold=n_fourfold,
+        n_ghz_fourfold=n_ghz,
         e_hat=e_hat,
         std_err=std_err,
-        p4_hat=tally.n_fourfold / tally.n_trials,
+        p4_hat=n_fourfold / n_trials,
     )
+
+
+def _write_events(counts: _Counts, rng: np.random.Generator, stream: IO[str]) -> None:
+    """One line per fourfold, in random order: creation, arrival, ghz, product.
+
+    The lines expand the counted outcomes exactly.  Uncorrelated fourfolds
+    get their +1 products on a random subset of the counted size, and the
+    order is a random permutation: given the counts, both are uniform for
+    independent windows.
+    """
+    pair_tags = [f"pair,{tag},-" for tag in ARRIVAL_TAGS]
+    uncorrelated = np.repeat(pair_tags + [f"twopair,{TWOPAIR_TAG},-"],
+                             [*counts.pair_by_channel, counts.twopair_dark])
+    products = np.full(len(uncorrelated), -1, dtype=np.int64)
+    products[rng.permutation(len(uncorrelated))[: counts.uncorrelated_plus]] = 1
+    ghz = np.repeat(_OUTCOME_PRODUCTS, counts.ghz_outcomes)
+    labels = np.concatenate([uncorrelated, np.full(len(ghz), f"twopair,{TWOPAIR_TAG},ghz")])
+    products = np.concatenate([products, ghz])
+    stream.write(EVENT_HEADER + "\n")
+    for i in rng.permutation(len(labels)):
+        stream.write(f"{labels[i]},{products[i]:+d}\n")
 
 
 def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
-    """Execute cfg.n_trials independent trials and aggregate the tallies.
+    """Simulate cfg.n_trials independent windows and tally the fourfolds.
 
-    With an event_stream the simulation switches to the scalar per-trial path
-    and writes one log line per trial (debugging aid; same seed derivation per
-    chunk, but a different draw order than the vectorized path).
+    With an event_stream, one line per fourfold is written after a header
+    line; the statistics are the same with and without it.
     """
-    chunks = [
-        (i, min(cfg.chunk_size, cfg.n_trials - i * cfg.chunk_size))
-        for i in range((cfg.n_trials + cfg.chunk_size - 1) // cfg.chunk_size)
-    ]
-
+    kernel_seed, event_seed = np.random.SeedSequence(cfg.master_seed).spawn(2)
+    counts = _simulate(cfg, np.random.default_rng(kernel_seed))
     if event_stream is not None:
-        tally = _Tally()
-        for index, size in chunks:
-            rng = _chunk_rng(cfg.master_seed, index)
-            for _ in range(size):
-                outcome = simulate_trial(cfg, rng)
-                event_stream.write(format_event(outcome) + "\n")
-                tally.n_trials += 1
-                if outcome.product is not None:
-                    tally.n_fourfold += 1
-                    tally.sum_products += outcome.product
-                    if outcome.classified_ghz:
-                        tally.n_ghz += 1
-        return _stats_from_tally(tally)
-
-    tally = _Tally()
-    if cfg.n_workers == 1 or len(chunks) == 1:
-        for index, size in chunks:
-            tally.merge(_simulate_chunk(cfg, index, size))
-    else:
-        jobs = [(cfg, index, size) for index, size in chunks]
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
-            for part in pool.map(_chunk_worker, jobs):
-                tally.merge(part)
-    return _stats_from_tally(tally)
+        _write_events(counts, np.random.default_rng(event_seed), event_stream)
+    return _stats(cfg.n_trials, counts)
 
 
 def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XYY") -> ComparisonReport:
@@ -394,19 +235,10 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
     analytic_p4 = detector.fourfold_probability(params)
     p4_se = math.sqrt(analytic_p4 * (1.0 - analytic_p4) / stats.n_trials)
     z_fourfold = (stats.p4_hat - analytic_p4) / p4_se if p4_se > 0.0 else 0.0
-    if stats.no_coincidences:
+    if stats.no_coincidences or analytic_e is None:
         return ComparisonReport(
             comparable=False,
             analytic_e=analytic_e,
-            analytic_p4=analytic_p4,
-            z_correlation=None,
-            z_fourfold=z_fourfold,
-            flagged=abs(z_fourfold) > Z_FLAG_THRESHOLD,
-        )
-    if analytic_e is None:
-        return ComparisonReport(
-            comparable=False,
-            analytic_e=None,
             analytic_p4=analytic_p4,
             z_correlation=None,
             z_fourfold=z_fourfold,

@@ -51,20 +51,6 @@ class StateVector8:
         return float(np.sum(np.abs(self.as_array()) ** 2))
 
 
-@dataclass(frozen=True)
-class OutcomeTriple:
-    s1: int
-    s2: int
-    s3: int
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in (self.s1, self.s2, self.s3)):
-            raise ValueError("outcomes must be +1 or -1")
-
-    def product(self) -> int:
-        return self.s1 * self.s2 * self.s3
-
-
 def validate_setting(setting: str) -> str:
     setting = setting.upper()
     if len(setting) != 3 or any(ch not in "XY" for ch in setting):
@@ -148,12 +134,6 @@ def outcome_probabilities(state: StateVector8, setting: str) -> np.ndarray:
     setting = validate_setting(setting)
     _check_normalized(state)
     return _cached_probabilities(state.amplitudes, setting)
-
-
-def sample_outcomes(state: StateVector8, setting: str, rng: np.random.Generator) -> OutcomeTriple:
-    """Draw one outcome triple by inverse-CDF over the cached probabilities."""
-    signs = sample_many(state, setting, 1, rng)[0]
-    return OutcomeTriple(int(signs[0]), int(signs[1]), int(signs[2]))
 
 
 def sample_many(

@@ -115,6 +115,19 @@ class TestSweep:
         gamma = float(contour[0].split(",")[1])
         assert 5.9e-7 <= gamma <= 6.1e-7
 
+    def test_exact_mode_contour_rejected(self, tmp_path, capsys):
+        # The contour inverts the approx model only; with --mode exact it
+        # would list gammas that are off the exact level.
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli(
+            "sweep", "--gamma-min", "1e-3", "--gamma-max", "1e-2", "--gamma-steps", "2",
+            "--d-min", "0.2", "--d-max", "0.9", "--d-steps", "8", "--ratio", "1e4",
+            "--mode", "exact", "--contour", "0.6", "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 2
+        assert "approx" in out.err
+        assert not out_path.exists()
+
     def test_monotone_in_gamma_at_fixed_d(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         run_cli(
@@ -186,14 +199,21 @@ class TestSimulate:
 
     def test_event_log_written(self, tmp_path, capsys):
         log = tmp_path / "events.log"
-        code, _ = run_cli(
+        code, out = run_cli(
             "simulate", "--d", "0.5", "--gamma", "0.05", "--pair", "0.5",
-            "--trials", "200", "--seed", "6", "--events", str(log), capsys=capsys,
+            "--trials", "200", "--seed", "6", "--events", str(log), "--json",
+            capsys=capsys,
         )
         assert code == 0
-        lines = log.read_text().splitlines()
-        assert len(lines) == 200
-        assert all(len(ln.split(",")) == 6 for ln in lines)
+        payload = json.loads(out.out)
+        header, *lines = log.read_text().splitlines()
+        assert header == "# creation,arrival,ghz,product"
+        fields = [ln.split(",") for ln in lines]
+        assert all(len(f) == 4 for f in fields)
+        assert len(fields) == payload["n_fourfold"]
+        assert sum(f[2] == "ghz" for f in fields) == payload["n_ghz_fourfold"]
+        products = sum(int(f[3]) for f in fields)
+        assert products == round(payload["e_hat"] * payload["n_fourfold"])
 
 
 class TestQuantum:

@@ -224,6 +224,13 @@ class TestGammaInversion:
             p = DetectorParams.from_ratio(0.5, g, 1e8)
             assert det.corrected_correlation(p, "approx") == pytest.approx(target, abs=1e-6)
 
+    def test_contour_on_the_level(self):
+        # The closed form lands on the level to rounding, at every d.
+        for d in (0.3, 0.5, 0.9):
+            g = det.find_gamma_for_correlation(d, 1e10, 0.92)
+            e = det.corrected_correlation(DetectorParams.from_ratio(d, g, 1e10), "approx")
+            assert e == pytest.approx(0.92, abs=1e-14)
+
     def test_unreachable_target_rejected(self):
         with pytest.raises(ValueError):
             det.find_gamma_for_correlation(0.5, 1e10, 1e-6)

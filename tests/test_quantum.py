@@ -10,7 +10,6 @@ from ghzdet.quantum import (
     operator_expectation,
     outcome_probabilities,
     sample_many,
-    sample_outcomes,
 )
 
 
@@ -113,9 +112,3 @@ class TestSampling:
         a = sample_many(ghz_state(), "YYY", 100, np.random.default_rng(5))
         b = sample_many(ghz_state(), "YYY", 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
-
-    def test_single_outcome_api(self):
-        rng = np.random.default_rng(3)
-        out = sample_outcomes(ghz_state(), "XXX", rng)
-        assert out.product() == -1
-        assert {out.s1, out.s2, out.s3} <= {-1, 1}
