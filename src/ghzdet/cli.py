@@ -157,29 +157,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("d bounds must satisfy 0 < min <= max <= 1")
     gammas = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     ds = np.linspace(args.d_min, args.d_max, args.d_steps)
+    grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
+    params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
+    e = detector.corrected_correlation(params, mode=args.mode)
+    columns = (e, detector.sigma_of_correlation(e), detector.sigma_separation(e))
+    d_text = [f"{d:.12g}" for d in ds]
     lines = ["gamma,d,E,sigma,separation"]
-    for gamma in gammas:
-        for d in ds:
-            params = detector.DetectorParams.from_ratio(
-                float(d), float(gamma), args.ratio, args.e_ghz
-            )
-            e = detector.corrected_correlation(params, mode=args.mode)
-            sigma = detector.sigma_of_correlation(e)
-            sep = detector.sigma_separation(e) if e > 0.5 else float("nan")
-            lines.append(
-                f"{gamma:.12g},{d:.12g},{e:.12g},{sigma:.12g},{sep:.12g}"
-            )
+    for i, gamma in enumerate(gammas):  # separation is nan where E <= 0.5
+        g = f"{gamma:.12g}"
+        cells = zip(d_text, *(column[i].tolist() for column in columns))
+        lines.extend(f"{g},{d},{x:.12g},{sigma:.12g},{sep:.12g}" for d, x, sigma, sep in cells)
     if args.contour is not None:
         lines.append(f"# contour E={args.contour:.12g}")
         lines.append("d,gamma")
-        for d in ds:
+        for d, d_str in zip(ds, d_text):
             try:
                 g = detector.find_gamma_for_correlation(
                     float(d), args.ratio, args.contour, args.e_ghz
                 )
             except ValueError:
                 continue  # level set does not cross this d-column
-            lines.append(f"{d:.12g},{g:.12g}")
+            lines.append(f"{d_str},{g:.12g}")
     text = "\n".join(lines) + "\n"
     try:
         Path(args.out).write_text(text)

@@ -15,6 +15,10 @@ closed-form aggregate this model is built around.  The Monte Carlo in
 :mod:`ghzdet.montecarlo` does not use these formulas: it draws each
 detector's firing on its own and takes the exact union over the channels,
 which the sum matches to first order in the channel probabilities.
+
+Array path: d and gamma may be arrays of one shape, a grid of detectors, and
+E, sigma and the separation then come out as arrays from the same expressions,
+with every check applied to every cell.  ``ghzdet sweep`` works this way.
 """
 
 from __future__ import annotations
@@ -22,20 +26,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SEPARATION_CAP = 1e6
 GAMMA_BRACKET_MAX = 1e-3
 PROB_TOL = 1e-12
 
 
+def _holds(condition) -> bool:
+    """A comparison's result for floats, or whether it holds in every cell."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
 def _check_prob(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
+    if not _holds((0.0 <= value) & (value <= 1.0)):
         raise ValueError(f"{name}={value} outside [0, 1]")
     return value
 
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Efficiency, dark-count probability and creation probabilities."""
+    """Efficiency, dark-count probability and creation probabilities.
+
+    d and gamma may be arrays of one shape (the module's array path)."""
 
     d: float
     gamma: float
@@ -170,7 +183,7 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
     mode="exact": e_ghz * P(signal) / (P(signal) + P(background)) with the full
     polynomial probabilities.  Uncorrelated fourfolds contribute zero either way.
     """
-    if params.d == 0.0:
+    if not _holds(params.d > 0.0):
         raise ValueError("d = 0: no photon is ever detected, correlation undefined")
     if params.p_twopair == 0.0:
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
@@ -193,7 +206,7 @@ def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
 
 def product_prob_plus(e: float) -> float:
     """P(S1 S2 S3 = +1) = (1 + E)/2 for a ±1 product with mean E."""
-    if not -1.0 <= e <= 1.0:
+    if not _holds((-1.0 <= e) & (e <= 1.0)):
         raise ValueError(f"correlation {e} outside [-1, 1]")
     return (1.0 + e) / 2.0
 
@@ -203,23 +216,25 @@ def sigma_of_correlation(e: float) -> float:
     variance = 1.0 - e * e
     p_plus = product_prob_plus(e)  # also validates the range
     bernoulli_form = 4.0 * p_plus * (1.0 - p_plus)
-    assert abs(variance - bernoulli_form) < 1e-12, (variance, bernoulli_form)
-    return max(0.0, variance) ** 0.5
+    assert _holds(abs(variance - bernoulli_form) < 1e-12), (variance, bernoulli_form)
+    return variance ** 0.5  # variance >= 0, since |E| <= 1
 
 
 def sigma_separation(e: float, boundary: float = 0.5) -> float:
     """(E - boundary) / sigma(E): standard deviations above the classical limit.
 
     Returns inf once the separation exceeds SEPARATION_CAP (sigma -> 0 as
-    E -> 1, so the ratio saturates).
+    E -> 1, so the ratio saturates).  A float E must exceed the boundary; an
+    array E gives nan in the cells that do not.
     """
     sigma = sigma_of_correlation(e)
-    if e <= boundary:
+    if not isinstance(e, np.ndarray) and e <= boundary:
         raise ValueError(f"correlation {e} does not exceed the boundary {boundary}")
-    if sigma == 0.0:
-        return float("inf")
-    separation = (e - boundary) / sigma
-    return separation if separation <= SEPARATION_CAP else float("inf")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        separation = np.divide(e - boundary, sigma)  # inf at sigma = 0, E = 1
+    separation = np.where(separation <= SEPARATION_CAP, separation, np.inf)
+    separation = np.where(e > boundary, separation, np.nan)
+    return separation if isinstance(e, np.ndarray) else float(separation)
 
 
 def find_gamma_for_correlation(

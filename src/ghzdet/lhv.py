@@ -2,21 +2,20 @@
 
 Given the four moments E(A), E(B), E(C), E(ABC), a local hidden variable model
 exists iff a probability distribution over the eight atoms abc ... a'b'c'
-reproduces them.  Feasibility is decided two independent ways:
-
-* four two-sided linear inequalities, each of the form
-  -2 <= ±E(A) ± E(B) ± E(C) ± E(ABC) <= 2 (odd number of minus signs);
-* an exact enumeration oracle over the 8-atom simplex that either produces an
-  explicit witness distribution or certifies that none exists.
-
-The two routes are required to agree everywhere; the test suite checks this on
-grids and random draws.
+reproduces them.  The atoms' moment vectors (a, b, c, abc) are ±h_i, the rows
+of a 4x4 Hadamard matrix, so the reproducible tetrads x form the
+cross-polytope sum_i |x . h_i| <= 4 (Fine, PRL 48, 291 (1982); Werner & Wolf,
+PRA 64, 032112 (2001)).  Inside [-1, 1]^4 its facets are the four two-sided
+inequalities -2 <= ±E(A) ± E(B) ± E(C) ± E(ABC) <= 2 (odd number of minus
+signs).  They decide feasibility, and every feasible tetrad gets a closed-form
+witness.  The tests check both against an enumeration of the basic square
+subsystems of the moment equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -41,6 +40,10 @@ ATOM_SIGNS = np.array(
 )
 
 ATOM_LABELS = ("abc", "ab'c", "abc'", "ab'c'", "a'bc", "a'b'c", "a'bc'", "a'b'c'")
+
+# Moment vectors (E_A, E_B, E_C, E_ABC) h_1..h_4 of abc, ab'c, abc', ab'c'.
+# a'bc, a'b'c, a'bc', a'b'c' carry -h_4 ... -h_1.
+HADAMARD_ROWS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 # Sign patterns of the four inequalities applied to (E_A, E_B, E_C, E_ABC).
 INEQUALITY_SIGNS = np.array(
@@ -123,70 +126,42 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
     """Evaluate the four two-sided inequalities; feasible iff all hold.
 
     Bounds are inclusive: a tetrad sitting exactly on a bound is feasible.
+    This is the one decision: feasible_oracle gives a witness exactly when
+    it says feasible.
     """
-    e = np.asarray(c.as_tuple())
-    values = INEQUALITY_SIGNS @ e
+    e = c.as_tuple()
     slacks = []
-    for v in values:
+    for row in INEQUALITY_SIGNS.tolist():  # in plain floats
+        v = sum(map(mul, row, e))
         slacks.append(v + 2.0)  # distance above the lower bound
         slacks.append(2.0 - v)  # distance below the upper bound
     feasible = all(s >= 0.0 for s in slacks)
     return FeasibilityReport(feasible=feasible, slacks=tuple(slacks), f_value=mermin_f(c))
 
 
-# --- exact feasibility oracle ------------------------------------------------
-#
-# The witness problem is: find p >= 0 on the 8 atoms with M p = b, where M
-# stacks normalization and the four expectation rows and b = (1, e_a, e_b,
-# e_c, e_abc).  M has rank 5, so if the polytope is nonempty it has a vertex
-# supported on the columns of some nonsingular 5x5 basic subsystem.
-# Enumerating all C(8,5) = 56 column subsets and solving the square systems
-# is therefore a complete decision procedure; no iterative solver is needed.
-
-_CONSTRAINTS = np.vstack(
-    [np.ones(8), ATOM_SIGNS.T, np.prod(ATOM_SIGNS, axis=1)]
-)  # shape (5, 8)
-
-
-def _basic_subsystems() -> tuple[np.ndarray, np.ndarray]:
-    inverses, columns = [], []
-    for cols in combinations(range(8), 5):
-        sub = _CONSTRAINTS[:, cols]
-        if abs(np.linalg.det(sub)) > 0.5:  # entries are ±1/1; dets are integers
-            inverses.append(np.linalg.inv(sub))
-            columns.append(cols)
-    return np.array(inverses), np.array(columns)
-
-
-_BASIS_INV, _BASIS_COLS = _basic_subsystems()
-
-
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
-    """Exact feasibility decision; returns a witness distribution or None.
+    """The closed-form witness, or None exactly when check_inequalities says infeasible.
 
-    Solves every nonsingular basic square subsystem of the equality
-    constraints and accepts the first solution that is nonnegative up to
-    SIMPLEX_TOL (tiny negatives are clamped to zero).  Absence of a witness
-    proves infeasibility.
+    With lam_i = x . h_i / 4 and s = 1 - sum_i |lam_i|, the atom +h_i gets
+    max(lam_i, 0) + s/8 and -h_i gets max(-lam_i, 0) + s/8: each pair differs
+    by lam_i, which reproduces x, and the eight sum to 1.  Rounding can leave s
+    a few ulp below zero on a bound, so it is clamped at zero and the atoms
+    are renormalised.
     """
-    b = np.array([1.0, *c.as_tuple()])
-    solutions = _BASIS_INV @ b  # shape (n_bases, 5)
-    for cols, x in zip(_BASIS_COLS, solutions):
-        if np.all(x >= -SIMPLEX_TOL):
-            p = np.zeros(8)
-            p[cols] = np.clip(x, 0.0, None)
-            p /= p.sum()  # absorb the clamped mass (at most a few SIMPLEX_TOL)
-            return JointDistribution8(tuple(float(v) for v in p))
-    return None
+    if not check_inequalities(c).feasible:
+        return None
+    e = c.as_tuple()
+    lam = [sum(map(mul, h, e)) / 4.0 for h in HADAMARD_ROWS]
+    share = max(0.0, 1.0 - sum(map(abs, lam))) / 8.0
+    probs = [max(v, 0.0) + share for v in lam] + [max(-v, 0.0) + share for v in reversed(lam)]
+    total = sum(probs)
+    return JointDistribution8(tuple(p / total for p in probs))
 
 
 def feasible_mask_oracle(tetrads: np.ndarray) -> np.ndarray:
-    """Vectorized oracle decision for an (n, 4) array of tetrads."""
-    tetrads = np.asarray(tetrads, dtype=float)
-    b = np.hstack([np.ones((len(tetrads), 1)), tetrads])  # (n, 5)
-    # (n_bases, 5, 5) x (n, 5) -> (n, n_bases, 5)
-    solutions = np.einsum("kij,nj->nki", _BASIS_INV, b)
-    return (solutions >= -SIMPLEX_TOL).all(axis=2).any(axis=1)
+    """Vectorized cross-polytope decision sum_i |x . h_i| <= 4 for an (n, 4) array."""
+    moments = np.asarray(tetrads, dtype=float) @ np.array(HADAMARD_ROWS, dtype=float).T
+    return np.abs(moments).sum(axis=1) <= 4.0
 
 
 def feasible_mask_inequalities(tetrads: np.ndarray) -> np.ndarray:

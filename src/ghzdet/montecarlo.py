@@ -21,7 +21,9 @@ photons at one detector register one count only if exactly one is detected).
   quadruple when D1..D3 all fired on real photons; otherwise a dark count
   took part and the product is uncorrelated.
 * Spins: correlated quadruples draw their outcome triples from the Born
-  probabilities of the setting, uncorrelated fourfolds a fair +-1 product.
+  probabilities of the setting mixed with noise, |e_ghz| born + (1 - |e_ghz|)/8,
+  with particle 1 flipped if e_ghz < 0, so their mean product is e_ghz times
+  the ideal one; uncorrelated fourfolds a fair +-1 product.
 
 Reproducibility: the draws come from one generator seeded by the master seed
 alone, so a run depends only on (config, seed).  The optional event log draws
@@ -160,7 +162,10 @@ def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
         real = hit
 
     born = quantum.outcome_probabilities(ghz_state(), cfg.setting)
-    ghz_outcomes = rng.multinomial(real, born)
+    if p.e_ghz < 0.0:
+        born = born[np.arange(8) ^ 4]  # flipping particle 1 negates every product
+    # At e_ghz = 1 the mixture is born, bit for bit.
+    ghz_outcomes = rng.multinomial(real, abs(p.e_ghz) * born + (1.0 - abs(p.e_ghz)) / 8.0)
     n_uncorrelated = int(pair_by_channel.sum() + dark)
     return _Counts(pair_by_channel, int(dark), ghz_outcomes, int(rng.binomial(n_uncorrelated, 0.5)))
 

@@ -51,7 +51,7 @@ def test_acceptance_02_oracle_equivalence():
     assert disagreements == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(2, f"inequalities and 56-subsystem oracle agree on all {len(tetrads)} "
+    report(2, f"inequalities and closed-form cross-polytope oracle agree on all {len(tetrads)} "
               f"tetrads, 0 disagreements ({elapsed:.1f}s)")
 
 

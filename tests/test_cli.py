@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ghzdet import cli
+from ghzdet import cli, detector
 
 
 def run_cli(*argv, capsys=None):
@@ -89,6 +90,29 @@ class TestCorrelation:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_rows_match_the_scalar_functions(self, tmp_path, capsys, mode):
+        # The grid reaches E <= 0.5 (separation nan) at gamma = 1e-3 and a
+        # saturated separation (inf) near E = 1 at gamma = 1e-13, d = 1.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-13", "--gamma-max", "1e-3", "--gamma-steps", "6",
+            "--d-min", "0.1", "--d-max", "1", "--d-steps", "4",
+            "--ratio", "1e10", "--mode", mode, "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 0
+        expected = []
+        for gamma in np.geomspace(1e-13, 1e-3, 6):
+            for d in np.linspace(0.1, 1.0, 4):
+                params = detector.DetectorParams.from_ratio(float(d), float(gamma), 1e10)
+                e = detector.corrected_correlation(params, mode=mode)
+                sigma = detector.sigma_of_correlation(e)
+                sep = detector.sigma_separation(e) if e > 0.5 else float("nan")
+                expected.append(f"{gamma:.12g},{d:.12g},{e:.12g},{sigma:.12g},{sep:.12g}")
+        rows = out_path.read_text().splitlines()[1:]
+        assert rows == expected
+        assert {row.rsplit(",", 1)[1] for row in rows} >= {"nan", "inf"}
+
     def test_row_count_and_header(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(

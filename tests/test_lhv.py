@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,45 @@ from ghzdet.lhv import (
 
 correlations = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 tetrads = st.builds(CorrelationSet, correlations, correlations, correlations, correlations)
+
+
+def enumeration_mask(tetrads: np.ndarray) -> np.ndarray:
+    """Reference decision, independent of the closed form in ghzdet.lhv.
+
+    A witness is p >= 0 on the 8 atoms with M p = (1, E_A, E_B, E_C, E_ABC),
+    where M stacks normalization and the four moment rows.  M has rank 5, so
+    a nonempty feasible set has a vertex supported on the columns of a
+    nonsingular 5x5 basic subsystem: 32 of the C(8, 5) = 56 column subsets.
+    Solving them all is a complete decision; solutions down to -SIMPLEX_TOL
+    count as nonnegative.
+    """
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    constraints = np.vstack([np.ones(8), signs.T, signs.prod(axis=1)])
+    inverses = []
+    for cols in itertools.combinations(range(8), 5):
+        sub = constraints[:, cols]
+        if abs(np.linalg.det(sub)) > 0.5:  # entries are ±1; dets are integers
+            inverses.append(np.linalg.inv(sub))
+    assert len(inverses) == 32
+    b = np.hstack([np.ones((len(tetrads), 1)), tetrads])
+    solutions = np.einsum("kij,nj->nki", np.array(inverses), b)
+    return (solutions >= -lhv.SIMPLEX_TOL).all(axis=2).any(axis=1)
+
+
+def acceptance_tetrads() -> np.ndarray:
+    """The 9^4 grid, 10,000 uniform draws and the eroded line eps = k/256."""
+    axis = np.linspace(-1.0, 1.0, 9)
+    grid = np.array(list(itertools.product(axis, axis, axis, axis)))
+    draws = np.random.default_rng(20260825).uniform(-1.0, 1.0, size=(10_000, 4))
+    eps = np.arange(257) / 256
+    line = np.column_stack([1 - eps, 1 - eps, 1 - eps, eps - 1])
+    return np.vstack([grid, draws, line])
+
+
+def witness_moments(witness: JointDistribution8) -> list[float]:
+    """(E_A, E_B, E_C, E_ABC) of a witness, summed exactly atom by atom."""
+    atoms = [(a, b, c, a * b * c) for a, b, c in lhv.ATOM_SIGNS.tolist()]
+    return [math.fsum(p * atom[k] for p, atom in zip(witness.probs, atoms)) for k in range(4)]
 
 
 class TestMerminF:
@@ -54,10 +96,12 @@ class TestCheckInequalities:
         assert report.slacks[1] == -2.0  # upper slack of the first inequality
 
     def test_boundary_is_feasible(self):
-        report = check_inequalities(CorrelationSet(0.5, 0.5, 0.5, -0.5))
+        c = CorrelationSet(0.5, 0.5, 0.5, -0.5)
+        report = check_inequalities(c)
         assert report.feasible
-        assert report.f_value == pytest.approx(2.0)
-        assert report.slacks[1] == pytest.approx(0.0)  # tight on the upper bound
+        assert report.f_value == 2.0
+        assert report.slacks[1] == 0.0  # tight on the upper bound
+        assert feasible_oracle(c) is not None
 
     def test_point_mass_tetrad(self):
         assert check_inequalities(CorrelationSet(1, 1, 1, 1)).feasible
@@ -70,10 +114,18 @@ class TestCheckInequalities:
 
 class TestFeasibleOracle:
     def test_point_mass_witness(self):
-        witness = feasible_oracle(CorrelationSet(1, 1, 1, 1))
-        assert witness is not None
-        assert witness.probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert sum(witness.probs[1:]) == pytest.approx(0.0, abs=1e-12)
+        for sign, atom in ((1, 0), (-1, 7)):  # abc and a'b'c'
+            witness = feasible_oracle(CorrelationSet(sign, sign, sign, sign))
+            assert witness is not None
+            assert witness.probs[atom] == 1.0
+            assert sum(witness.probs) - witness.probs[atom] == 0.0
+
+    def test_one_inclusive_decision_past_a_bound(self):
+        # -E_A + E_B + E_C + E_ABC = 2 + 1e-12: outside by 1e-12, which the
+        # basis enumeration's SIMPLEX_TOL would accept.
+        c = CorrelationSet(0.0, 1.0, 1.0, 1e-12)
+        assert not check_inequalities(c).feasible
+        assert feasible_oracle(c) is None
 
     def test_ghz_tetrad_has_no_witness(self):
         assert feasible_oracle(CorrelationSet(1, 1, 1, -1)) is None
@@ -104,7 +156,22 @@ class TestFeasibleOracle:
     @given(tetrads)
     @settings(max_examples=300)
     def test_equivalence_property(self, c):
-        assert check_inequalities(c).feasible == (feasible_oracle(c) is not None)
+        witness = feasible_oracle(c)
+        assert check_inequalities(c).feasible == (witness is not None)
+        if witness is not None:
+            assert witness_moments(witness) == pytest.approx(c.as_tuple(), abs=1e-12)
+
+    def test_acceptance_set_against_the_enumeration(self):
+        tetrads = acceptance_tetrads()
+        reference = enumeration_mask(tetrads)
+        decided = np.array([check_inequalities(CorrelationSet(*t)).feasible for t in tetrads])
+        for mask in (decided, lhv.feasible_mask_oracle(tetrads),
+                     lhv.feasible_mask_inequalities(tetrads)):
+            assert int(np.sum(mask != reference)) == 0
+        for t in tetrads[reference]:
+            witness = feasible_oracle(CorrelationSet(*t))
+            assert abs(sum(witness.probs) - 1.0) <= lhv.SIMPLEX_TOL
+            assert np.max(np.abs(np.array(witness_moments(witness)) - t)) <= 1e-12
 
 
 class TestSymmetricConstruction:
@@ -186,6 +253,11 @@ class TestEpsilonThreshold:
     def test_rejects_out_of_range(self, eps):
         with pytest.raises(ValueError):
             epsilon_feasible(eps)
+
+    @pytest.mark.parametrize("eps,expected", [(0.5, True), (0.5 - 2**-52, False)])
+    def test_witness_exactly_from_one_half(self, eps, expected):
+        c = CorrelationSet(1 - eps, 1 - eps, 1 - eps, -1 + eps)
+        assert (feasible_oracle(c) is not None) is expected
 
     def test_matches_inequality_check_on_grid(self):
         for eps in np.linspace(0.0, 1.0, 101):

@@ -207,6 +207,16 @@ class TestCompareAnalytic:
         assert not report.comparable
         assert report.z_correlation is None
 
+    @pytest.mark.parametrize("e_ghz", [0.5, -0.5])
+    def test_source_correlation_below_one(self, e_ghz):
+        # The kernel once drew from the ideal state whatever e_ghz was: at
+        # e_ghz = 0.5 this run gave z_correlation +183.
+        params = DetectorParams(0.5, 1e-2, 0.99, 0.01, e_ghz)
+        stats = run(scaled_config(params=params, n_trials=100_000_000, master_seed=1))
+        report = compare_analytic(stats, params, "XYY")
+        assert abs(report.z_correlation) < 4
+        assert not report.flagged
+
     def test_sign_follows_setting(self):
         cfg = scaled_config(setting="XXX", n_trials=2_000_000)
         stats = run(cfg)
