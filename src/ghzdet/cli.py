@@ -2,15 +2,13 @@
 parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
-Set GHZDET_PRECISION to change the number of significant digits printed
-(default 12).
+Numbers are printed with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -24,15 +22,8 @@ EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 
 
-def _precision() -> int:
-    try:
-        return max(1, int(os.environ.get("GHZDET_PRECISION", "12")))
-    except ValueError:
-        return 12
-
-
 def fmt(x: float) -> str:
-    return f"{x:.{_precision()}g}"
+    return f"{x:.12g}"
 
 
 def _emit_json(payload: dict) -> None:
@@ -44,7 +35,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     c = lhv.CorrelationSet(args.e_a, args.e_b, args.e_c, args.e_abc)
     report = lhv.check_inequalities(c)
-    witness = lhv.feasible_oracle(c)
+    witness = lhv.feasible_oracle(c) if report.feasible else None
     if args.json:
         _emit_json(
             {
@@ -191,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 _CONFIG_KEYS = {
     "d", "gamma", "pair", "twopair", "ratio", "e-ghz", "setting",
-    "trials", "seed", "chunk-size", "workers",
+    "trials", "seed", "workers",
 }
 
 
@@ -230,7 +221,6 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     setting = pick(args.setting, "setting", str)
     trials = pick(args.trials, "trials", int)
     seed = pick(args.seed, "seed", int)
-    chunk_size = pick(args.chunk_size, "chunk-size", int)
     workers = pick(args.workers, "workers", int)
 
     if d is None or gamma is None:
@@ -260,7 +250,6 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
         setting=quantum.validate_setting(setting),
         n_trials=trials,
         master_seed=seed,
-        chunk_size=chunk_size if chunk_size is not None else 1_000_000,
         n_workers=workers if workers is not None else 1,
     )
 
@@ -398,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--chunk-size", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--events", help="write one line per fourfold coincidence to this path")
     p.add_argument("--json", action="store_true")

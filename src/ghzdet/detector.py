@@ -1,24 +1,29 @@
 """Closed-form fourfold-coincidence model with efficiency d and dark counts.
 
-A trigger detector T and three signal detectors D1..D3 each fire on a real
-photon with probability d and, failing that, on a dark count with probability
-gamma per coincidence window.  Photon creation is either a single pair
-(probability p_pair) or a double pair carrying the entangled correlation
-(p_twopair).  Conditioning on all four detectors firing yields the corrected
-conditional correlation, its variance, and the separation in standard
-deviations from the classical boundary 0.5.
+A trigger detector T and three signal detectors D1..D3 each fire with
+probability gamma on no photon, d + (1-d) gamma on one photon and
+d (1-d) + (1-d)^2 gamma on two (fire_probabilities).  Photon creation is
+either a single pair (probability p_pair), whose two photons arrive on one of
+the ten channels of ARRIVAL_COUNTS, or a double pair carrying the entangled
+correlation (p_twopair), one photon per detector.  Every probability of the
+model is built from those firing probabilities:
 
-Single-pair arrivals are aggregated over the ten detector combinations
-TD1, TD2, TD3, D1D2, D1D3, D2D3, D1D1, D2D2, D3D3, TT by plain addition
-(six distinct-detector terms plus four same-detector terms), mirroring the
-closed-form aggregate this model is built around.  The Monte Carlo in
-:mod:`ghzdet.montecarlo` does not use these formulas: it draws each
-detector's firing on its own and takes the exact union over the channels,
-which the sum matches to first order in the channel probabilities.
+* P(fourfold | pair) is the exact union over the ten channels;
+* P(correlated fourfold) = p_twopair d^3 (d + (1-d) gamma): D1..D3 fire on
+  their photons, T on its photon or a dark count;
+* P(fourfold | double pair) = (d + (1-d) gamma)^4.
+
+Conditioning on all four detectors firing yields the corrected conditional
+correlation, its variance, and the separation in standard deviations from
+the classical boundary 0.5.  The Monte Carlo in :mod:`ghzdet.montecarlo`
+shares only the firing probabilities and the channel table: it thins counts
+detector by detector and does not use the aggregates above.
 
 Array path: d and gamma may be arrays of one shape, a grid of detectors, and
 E, sigma and the separation then come out as arrays from the same expressions,
 with every check applied to every cell.  ``ghzdet sweep`` works this way.
+Integer powers are written as products, which round the same for floats and
+arrays.
 """
 
 from __future__ import annotations
@@ -28,8 +33,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ARRIVAL_TAGS = (
+    "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
+)
+# Photon count at (T, D1, D2, D3) for each arrival channel of a single pair.
+ARRIVAL_COUNTS = (
+    (1, 1, 0, 0),
+    (1, 0, 1, 0),
+    (1, 0, 0, 1),
+    (0, 1, 1, 0),
+    (0, 1, 0, 1),
+    (0, 0, 1, 1),
+    (0, 2, 0, 0),
+    (0, 0, 2, 0),
+    (0, 0, 0, 2),
+    (2, 0, 0, 0),
+)
+
 SEPARATION_CAP = 1e6
-GAMMA_BRACKET_MAX = 1e-3
+GAMMA_MAX = 1e-3
 PROB_TOL = 1e-12
 
 
@@ -111,68 +133,50 @@ def gamma_from_rates(r: RateSpec) -> float:
     return r.dark_rate * r.window
 
 
-def p4_pair_distinct(d: float, gamma: float) -> float:
-    """P(fourfold | pair at two distinct detectors) = gamma^2 (d + gamma(1-d))^2."""
-    return gamma**2 * (d + gamma * (1.0 - d)) ** 2
+def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
+    """P(a detector fires) with 0, 1 and 2 photons on it.
 
-
-def p4_pair_same(d: float, gamma: float) -> float:
-    """P(fourfold | both pair photons at one detector) = d(1-d)g^3 + (1-d)^2 g^4."""
-    return d * (1.0 - d) * gamma**3 + (1.0 - d) ** 2 * gamma**4
-
-
-def p4_pair_total(d: float, gamma: float, mode: str = "derived") -> float:
-    """Aggregate fourfold probability from single-pair creation.
-
-    mode="derived": 6 * p4_pair_distinct + 4 * p4_pair_same (internally
-    consistent sum of the two sub-cases).
-    mode="paper": the published aggregate 6 g^2 (d + g(1-d))^2 + 4 g^3 (1-d)(d+g),
-    whose last factor differs from the derived one at order gamma^4.
+    Two photons register one count only if exactly one is detected.
     """
-    if mode == "derived":
-        return 6.0 * p4_pair_distinct(d, gamma) + 4.0 * p4_pair_same(d, gamma)
-    if mode == "paper":
-        return 6.0 * gamma**2 * (d + gamma * (1.0 - d)) ** 2 + 4.0 * gamma**3 * (
-            1.0 - d
-        ) * (d + gamma)
-    raise ValueError(f"mode must be 'derived' or 'paper', got {mode!r}")
-
-
-def p4_ghz(d: float, gamma: float) -> float:
-    """P(fourfold & true correlated quadruple | two-pair) = d^4 + g(1-d)d^3.
-
-    The gamma term is the trigger firing on a dark count while the three
-    signal photons are all detected.
-    """
-    return d**4 + gamma * (1.0 - d) * d**3
-
-
-def p4_nonghz_fourphoton(d: float, gamma: float) -> float:
-    """P(fourfold without the full correlated quadruple | two-pair creation)."""
     u = 1.0 - d
-    return (
-        3.0 * gamma * d**3 * u
-        + 6.0 * gamma**2 * d**2 * u**2
-        + 4.0 * gamma**3 * d * u**3
-        + gamma**4 * u**4
-    )
+    return gamma, d + u * gamma, d * u + u * u * gamma
+
+
+def pair_fourfold_probability(d: float, gamma: float) -> float:
+    """P(fourfold | single pair): the union of the ten arrival channels.
+
+    A channel with photon counts (t, d1, d2, d3) at (T, D1, D2, D3) fires all
+    four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
+    of the other channels, so the union is 1 - prod(1 - q).  It is taken in
+    logs: with q ~ gamma^2 the plain product rounds 1 - q to 1.
+    """
+    fire = fire_probabilities(d, gamma)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a certain channel
+        log_miss = sum(np.log1p(-(fire[t] * fire[d1] * fire[d2] * fire[d3]))
+                       for t, d1, d2, d3 in ARRIVAL_COUNTS)
+    union = -np.expm1(log_miss)
+    return union if isinstance(union, np.ndarray) else float(union)
 
 
 def signal_probability(params: DetectorParams) -> float:
-    """P(correlated fourfold) = p_twopair * p4_ghz."""
-    return params.p_twopair * p4_ghz(params.d, params.gamma)
+    """P(correlated fourfold) = p_twopair d^3 (d + (1-d) gamma).
 
-
-def background_probability(params: DetectorParams) -> float:
-    """P(uncorrelated fourfold), from single pairs plus dark-assisted quadruples."""
-    return params.p_pair * p4_pair_total(
-        params.d, params.gamma
-    ) + params.p_twopair * p4_nonghz_fourphoton(params.d, params.gamma)
+    D1..D3 fire on their photons; T fires on its photon or a dark count.
+    """
+    d = params.d
+    return params.p_twopair * (d * d * d * fire_probabilities(d, params.gamma)[1])
 
 
 def fourfold_probability(params: DetectorParams) -> float:
-    """Total per-window probability of a fourfold coincidence."""
-    return signal_probability(params) + background_probability(params)
+    """Total per-window probability of a fourfold coincidence.
+
+    A double pair puts one photon on each detector, so it is a fourfold with
+    probability (d + (1-d) gamma)^4, of which signal_probability is a part.
+    """
+    fire1 = fire_probabilities(params.d, params.gamma)[1]
+    return params.p_pair * pair_fourfold_probability(
+        params.d, params.gamma
+    ) + params.p_twopair * (fire1 * fire1 * fire1 * fire1)
 
 
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
@@ -180,8 +184,8 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
 
     mode="approx": e_ghz / [1 + 6 (p_pair/p_twopair) (gamma/d)^2], the leading
     order expression valid for gamma << d and p_pair >> p_twopair.
-    mode="exact": e_ghz * P(signal) / (P(signal) + P(background)) with the full
-    polynomial probabilities.  Uncorrelated fourfolds contribute zero either way.
+    mode="exact": e_ghz * P(correlated fourfold) / P(fourfold), from the full
+    model.  Uncorrelated fourfolds contribute zero either way.
     """
     if not _holds(params.d > 0.0):
         raise ValueError("d = 0: no photon is ever detected, correlation undefined")
@@ -191,9 +195,10 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
         dilution = 1.0 + 6.0 * params.ratio * params.gamma**2 / params.d**2
         return params.e_ghz / dilution
     if mode == "exact":
-        sig = signal_probability(params)
-        bkg = background_probability(params)
-        return params.e_ghz * sig / (sig + bkg)
+        p4 = fourfold_probability(params)
+        if not _holds(p4 > 0.0):
+            raise ValueError("fourfold probability underflows to 0, correlation undefined")
+        return params.e_ghz * signal_probability(params) / p4
     raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
 
@@ -244,7 +249,7 @@ def find_gamma_for_correlation(
 
     E = e_ghz / (1 + 6 ratio gamma^2 / d^2) gives
     gamma = d sqrt((e_ghz/E - 1) / (6 ratio)).  Targets that need
-    gamma > GAMMA_BRACKET_MAX are rejected as not reached.
+    gamma > GAMMA_MAX are rejected as not reached.
     """
     if not 0.0 < e_target <= e_ghz:
         raise ValueError(f"target {e_target} must lie in (0, e_ghz={e_ghz}]")
@@ -253,8 +258,8 @@ def find_gamma_for_correlation(
     if excess == 0.0:
         return 0.0
     gamma = d * math.sqrt(excess / (6.0 * ratio)) if d > 0.0 and ratio > 0.0 else math.inf
-    if gamma > GAMMA_BRACKET_MAX:
+    if gamma > GAMMA_MAX:
         raise ValueError(
-            f"target correlation not reached within gamma <= {GAMMA_BRACKET_MAX}"
+            f"target correlation not reached within gamma <= {GAMMA_MAX}"
         )
     return gamma

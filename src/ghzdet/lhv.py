@@ -114,7 +114,6 @@ class FeasibilityReport:
     # [lo1, up1, lo2, up2, lo3, up3, lo4, up4].  All >= 0 iff feasible.
     slacks: tuple[float, ...]
     f_value: float
-    witness: Optional[JointDistribution8] = None
 
 
 def mermin_f(c: CorrelationSet) -> float:

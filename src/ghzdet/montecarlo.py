@@ -9,14 +9,13 @@ model in :mod:`ghzdet.detector`.
 Windows are independent and so are the detectors inside a window, so n
 windows are simulated exactly by binomial thinning of counts, with a fixed
 number of draws whatever n is (Kachitvichyanukul & Schmeiser, CACM 31(2):216
-(1988), for the binomial sampler).  A detector fires with probability gamma
-on no photon, d + (1-d) gamma on one and d (1-d) + (1-d)^2 gamma on two (two
-photons at one detector register one count only if exactly one is detected).
+(1988), for the binomial sampler).  From the model the simulation takes only
+the per-detector firing probabilities (``detector.fire_probabilities``) and
+the arrival-channel table (``detector.ARRIVAL_COUNTS``); the aggregation of
+those into fourfold probabilities is what it checks, and it does its own:
 
-* Single pairs: each of the ten arrival channels is an independent way for a
-  window to become a fourfold.  The windows not yet fourfold are thinned
-  through T, D1, D2, D3 channel by channel, which gives the exact union
-  1 - prod_i(1 - q_i) over channels without using the model's formulas.
+* Single pairs: the windows not yet fourfold are thinned through T, D1, D2,
+  D3 channel by channel, each detector with its own firing probability.
 * Double pairs put one photon on each detector.  A fourfold is a correlated
   quadruple when D1..D3 all fired on real photons; otherwise a dark count
   took part and the product is uncorrelated.
@@ -39,28 +38,9 @@ from typing import IO, Optional
 import numpy as np
 
 from . import detector, quantum
-from .detector import DetectorParams
+from .detector import ARRIVAL_COUNTS, ARRIVAL_TAGS, DetectorParams
 from .quantum import ghz_state, validate_setting
 
-ARRIVAL_TAGS = (
-    "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
-)
-# Photon count at (T, D1, D2, D3) for each arrival combination.
-ARRIVAL_COUNTS = np.array(
-    [
-        [1, 1, 0, 0],
-        [1, 0, 1, 0],
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [0, 1, 0, 1],
-        [0, 0, 1, 1],
-        [0, 2, 0, 0],
-        [0, 0, 2, 0],
-        [0, 0, 0, 2],
-        [2, 0, 0, 0],
-    ],
-    dtype=np.int64,
-)
 TWOPAIR_TAG = "TD1D2D3"
 EVENT_HEADER = "# creation,arrival,ghz,product"
 # Spin product s1 s2 s3 of each Born outcome index.
@@ -71,15 +51,14 @@ Z_FLAG_THRESHOLD = 4.0
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A simulation run.  chunk_size and n_workers are validated but unused:
-    the kernel needs neither, and they are kept so existing callers and
-    config files still work."""
+    """A simulation run.  n_workers is validated but unused: the kernel runs
+    in one thread, and it is kept so existing callers and config files still
+    work."""
 
     params: DetectorParams
     setting: str
     n_trials: int
     master_seed: int
-    chunk_size: int = 1_000_000
     n_workers: int = 1
 
     def __post_init__(self):
@@ -88,8 +67,6 @@ class RunConfig:
             raise ValueError("n_trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
 
@@ -132,15 +109,10 @@ class _Counts:
         return int(self.pair_by_channel.sum()) + self.twopair_dark
 
 
-def _fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
-    """P(a detector fires) with 0, 1 and 2 photons on it."""
-    return gamma, d + (1.0 - d) * gamma, d * (1.0 - d) + (1.0 - d) ** 2 * gamma
-
-
 def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
     """All cfg.n_trials windows by binomial thinning."""
     p = cfg.params
-    fire = _fire_probabilities(p.d, p.gamma)
+    fire = detector.fire_probabilities(p.d, p.gamma)
     n_two = int(rng.binomial(cfg.n_trials, p.p_twopair))
 
     left = cfg.n_trials - n_two  # single-pair windows not yet fourfold

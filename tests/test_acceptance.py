@@ -136,10 +136,7 @@ def test_acceptance_08_monte_carlo_statistical_contract():
     n = 10_000_000
     passes = 0
     for seed in (1, 2, 3, 4, 5):
-        cfg = montecarlo.RunConfig(
-            params=params, setting="XYY", n_trials=n, master_seed=seed,
-            chunk_size=1_000_000,
-        )
+        cfg = montecarlo.RunConfig(params=params, setting="XYY", n_trials=n, master_seed=seed)
         stats = montecarlo.run(cfg)
         se_p4 = math.sqrt(p4 * (1 - p4) / n)
         ok_e = abs(stats.e_hat - analytic_e) <= 3 * stats.std_err
@@ -158,7 +155,7 @@ def test_acceptance_09_simulation_determinism():
         sys.executable, "-m", "ghzdet.cli", "simulate",
         "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
         "--setting", "XYY", "--trials", "400000", "--seed", "99",
-        "--chunk-size", "100000", "--json",
+        "--json",
     ]
     outputs = []
     for workers in ("1", "1", "4"):

@@ -192,6 +192,19 @@ class TestSimulate:
         assert payload["n_fourfold"] == 500
         assert not payload["flagged"]
 
+    def test_all_dark_limit_exits_cleanly(self, capsys):
+        # The additive pair aggregate once gave a fourfold probability of 9.91
+        # here, and the comparison failed with a math domain error.
+        code, out = run_cli(
+            "simulate", "--d", "0", "--gamma", "1", "--pair", "0.99",
+            "--trials", "1000", "--seed", "1", "--json", capsys=capsys,
+        )
+        assert code == 0
+        payload = json.loads(out.out)
+        assert payload["analytic_p4"] == 1.0
+        assert payload["n_fourfold"] == 1000
+        assert payload["analytic_e"] is None
+
     def test_no_coincidences_marker(self, capsys):
         code, out = run_cli(
             "simulate", "--gamma", "0", "--d", "0.9", "--pair", "1",
@@ -261,7 +274,7 @@ class TestDeterminismBytes:
             sys.executable, "-m", "ghzdet.cli", "simulate",
             "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
             "--setting", "XYY", "--trials", "200000", "--seed", "7",
-            "--chunk-size", "50000", "--json",
+            "--json",
         ]
         outputs = []
         for workers in ("1", "1", "4"):

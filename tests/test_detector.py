@@ -34,60 +34,79 @@ class TestGammaFromRates:
         assert det.gamma_from_rates(RateSpec(0, 2e-9)) == 0.0
 
 
+def channel_probabilities(d, gamma):
+    """(q_distinct, q_same): a pair fires all four detectors via TD1 and via D1D1."""
+    f0, f1, f2 = det.fire_probabilities(d, gamma)
+    return f1 * f1 * f0 * f0, f2 * f0 * f0 * f0
+
+
+def twopair(d, gamma):
+    return DetectorParams(d, gamma, 0.0, 1.0)
+
+
 class TestPairProbabilities:
     def test_distinct_vanishes_without_darks(self):
-        assert det.p4_pair_distinct(0.7, 0.0) == 0.0
+        assert channel_probabilities(0.7, 0.0)[0] == 0.0
 
     def test_distinct_perfect_detectors(self):
-        assert det.p4_pair_distinct(1.0, 0.1) == pytest.approx(0.01)
+        assert channel_probabilities(1.0, 0.1)[0] == pytest.approx(0.01)
 
     def test_distinct_generic(self):
-        assert det.p4_pair_distinct(0.5, 0.1) == pytest.approx(0.003025)
+        assert channel_probabilities(0.5, 0.1)[0] == pytest.approx(0.003025)
 
     def test_same_vanishes_at_unit_efficiency(self):
-        assert det.p4_pair_same(1.0, 0.2) == 0.0
+        assert channel_probabilities(1.0, 0.2)[1] == 0.0
 
     def test_same_vanishes_without_darks(self):
-        assert det.p4_pair_same(0.5, 0.0) == 0.0
+        assert channel_probabilities(0.5, 0.0)[1] == 0.0
 
     def test_same_generic(self):
-        assert det.p4_pair_same(0.5, 0.1) == pytest.approx(2.75e-4)
+        assert channel_probabilities(0.5, 0.1)[1] == pytest.approx(2.75e-4)
 
     def test_total_zero_gamma(self):
-        assert det.p4_pair_total(0.5, 0.0, "derived") == 0.0
-        assert det.p4_pair_total(0.5, 0.0, "paper") == 0.0
+        assert det.pair_fourfold_probability(0.5, 0.0) == 0.0
 
     def test_total_derived(self):
-        assert det.p4_pair_total(0.5, 0.1, "derived") == pytest.approx(0.01925)
+        # The union of the ten channels, not their sum 6 q_distinct + 4 q_same.
+        q_distinct, q_same = channel_probabilities(0.5, 0.1)
+        assert 6 * q_distinct + 4 * q_same == pytest.approx(0.01925)
+        assert det.pair_fourfold_probability(0.5, 0.1) == pytest.approx(0.0190930328662559, rel=1e-14)
 
-    def test_total_paper(self):
-        assert det.p4_pair_total(0.5, 0.1, "paper") == pytest.approx(0.01935)
+    def test_certain_channel_gives_one(self):
+        # d = 0, gamma = 1: every detector fires in every window.
+        assert det.pair_fourfold_probability(0.0, 1.0) == 1.0
+        assert det.fourfold_probability(DetectorParams(0.0, 1.0, 0.99, 0.01)) == 1.0
 
-    def test_modes_differ_at_order_gamma4(self):
-        d = 0.5
-        for gamma in (1e-2, 1e-3, 1e-4):
-            diff = abs(det.p4_pair_total(d, gamma, "paper") - det.p4_pair_total(d, gamma, "derived"))
-            # paper - derived = 4 gamma^4 (1-d) d
-            assert diff == pytest.approx(4 * gamma**4 * (1 - d) * d, rel=1e-9)
+    def test_union_is_the_sum_to_first_order(self):
+        # q_i ~ gamma^2 ~ 4e-13 in the paper's regime, where a plain
+        # 1 - prod(1 - q_i) would lose four digits.
+        q_distinct, q_same = channel_probabilities(0.5, 6e-7)
+        want = 6 * q_distinct + 4 * q_same
+        assert det.pair_fourfold_probability(0.5, 6e-7) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestQuadrupleProbabilities:
+    # A double pair is a fourfold with probability (d + g(1-d))^4, of which
+    # the correlated part is d^3 (d + g(1-d)) = d^4 + g(1-d)d^3; the rest is
+    # 3 g d^3 u + 6 g^2 d^2 u^2 + 4 g^3 d u^3 + g^4 u^4 (u = 1 - d).
     def test_signal_no_darks(self):
-        assert det.p4_ghz(0.7, 0.0) == pytest.approx(0.7**4)
+        assert det.signal_probability(twopair(0.7, 0.0)) == pytest.approx(0.7**4)
 
     def test_signal_perfect(self):
-        assert det.p4_ghz(1.0, 0.3) == pytest.approx(1.0)
+        assert det.signal_probability(twopair(1.0, 0.3)) == pytest.approx(1.0)
 
     def test_signal_generic(self):
-        assert det.p4_ghz(0.5, 0.1) == pytest.approx(0.06875)
+        assert det.signal_probability(twopair(0.5, 0.1)) == pytest.approx(0.06875, rel=1e-14)
 
     def test_background_vanishes_at_extremes(self):
-        assert det.p4_nonghz_fourphoton(0.5, 0.0) == 0.0
-        assert det.p4_nonghz_fourphoton(1.0, 0.3) == 0.0
+        for d, g in ((0.5, 0.0), (1.0, 0.3)):
+            p = twopair(d, g)
+            assert det.fourfold_probability(p) - det.signal_probability(p) == pytest.approx(0.0, abs=1e-15)
 
     def test_background_generic(self):
         # 3*0.1*0.125*0.5 + 6*0.01*0.25*0.25 + 4*1e-3*0.5*0.125 + 1e-4*0.0625
-        assert det.p4_nonghz_fourphoton(0.5, 0.1) == pytest.approx(0.02275625)
+        p = twopair(0.5, 0.1)
+        assert det.fourfold_probability(p) - det.signal_probability(p) == pytest.approx(0.02275625, rel=1e-12)
 
 
 class TestCorrectedCorrelation:
@@ -109,6 +128,11 @@ class TestCorrectedCorrelation:
             det.corrected_correlation(DetectorParams(0.0, 1e-7, 0.5, 0.5))
         with pytest.raises(ValueError):
             det.corrected_correlation(DetectorParams(0.5, 1e-7, 1.0, 0.0))
+
+    def test_underflowing_fourfold_rejected(self):
+        # d^4 underflows to 0: the exact E would be 0/0.
+        with pytest.raises(ValueError, match="underflows"):
+            det.corrected_correlation(DetectorParams(1e-100, 0.0, 0.5, 0.5), "exact")
 
     def test_mode_agreement_in_reported_regime(self):
         for gamma in (1e-7, 1e-6, 1e-5):
@@ -133,29 +157,40 @@ class TestCorrectedCorrelation:
                     for d in ds
                 ]
             )
-            assert np.all(np.diff(E, axis=1) <= 1e-15)  # non-increasing in gamma
+            falls_in_gamma = np.diff(E, axis=1) <= 1e-15
+            if mode == "exact":
+                # Where the pair union saturates (>= 0.936 at gamma >= 0.7 on
+                # this grid) the background cannot grow while a dark trigger
+                # still adds signal, and E rises by up to 1.05e-7.
+                p4_pair = np.array([[det.pair_fourfold_probability(float(d), float(g)) for g in gs]
+                                    for d in ds])
+                falls_in_gamma |= p4_pair[:, 1:] > 0.9
+            assert np.all(falls_in_gamma)  # non-increasing in gamma
             assert np.all(np.diff(E, axis=0) >= -1e-15)  # non-decreasing in d
 
 
 class TestProbabilityRanges:
     def test_unit_interval_on_grid(self):
-        # The per-channel probabilities are genuine probabilities everywhere.
-        # The ten-channel aggregate is only one in the rare-channel regime and
-        # exceeds 1 for large gamma by construction, so it is checked there.
+        # Every probability of the model lies in [0, 1], large gamma included.
         ds = np.linspace(0.0, 1.0, 101)
         gs = np.linspace(0.0, 1.0, 101)
         for d in ds:
             for g in gs:
-                for f in (det.p4_pair_distinct, det.p4_pair_same, det.p4_ghz, det.p4_nonghz_fourphoton):
-                    v = f(float(d), float(g))
-                    assert 0.0 <= v <= 1.0, (f.__name__, d, g, v)
-                if g <= 0.15:
-                    assert 0.0 <= det.p4_pair_total(float(d), float(g)) <= 1.0
+                d, g = float(d), float(g)
+                values = (
+                    *det.fire_probabilities(d, g),
+                    det.pair_fourfold_probability(d, g),
+                    det.signal_probability(twopair(d, g)),
+                    det.fourfold_probability(twopair(d, g)),
+                    det.fourfold_probability(DetectorParams(d, g, 0.5, 0.5)),
+                )
+                for v in values:
+                    assert 0.0 <= v <= 1.0, (d, g, values)
 
     def test_perfect_detectors_only_signal(self):
         for g in np.linspace(0.0, 0.1, 11):
-            assert det.p4_ghz(1.0, float(g)) == pytest.approx(1.0)
-            assert det.p4_nonghz_fourphoton(1.0, float(g)) == 0.0
+            assert det.signal_probability(twopair(1.0, float(g))) == pytest.approx(1.0)
+            assert det.fourfold_probability(twopair(1.0, float(g))) == pytest.approx(1.0)
 
 
 class TestObservedRatio:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzdet import detector as det
 from ghzdet import montecarlo as mc
@@ -27,8 +29,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             scaled_config(setting="XZZ")
         with pytest.raises(ValueError):
-            scaled_config(chunk_size=0)
-        with pytest.raises(ValueError):
             scaled_config(n_workers=0)
 
 
@@ -39,12 +39,8 @@ class TestRun:
         assert a == b
 
     def test_independent_of_worker_count(self):
-        # chunk_size and n_workers are accepted but must not change a run.
-        runs = [
-            run(scaled_config(n_trials=400_000, master_seed=99, chunk_size=c, n_workers=w))
-            for c in (100_000, 400_000)
-            for w in (1, 4)
-        ]
+        # n_workers is accepted but must not change a run.
+        runs = [run(scaled_config(n_trials=400_000, master_seed=99, n_workers=w)) for w in (1, 4)]
         assert all(r == runs[0] for r in runs)
         assert runs[0].n_fourfold > 0
 
@@ -224,3 +220,42 @@ class TestCompareAnalytic:
         assert report.analytic_e < 0
         assert stats.e_hat < 0
         assert not report.flagged
+
+
+class TestModelOverTheCube:
+    # Each z below is (count - mean) / sd of a binomial count, taken only
+    # where both the count and its complement have an expected 400 or more
+    # (fourfolds and non-fourfolds; +1 and -1 products among the fourfolds),
+    # so the count is near normal.  |z| > 5 then has probability 5.7e-7
+    # (normal) to 9.1e-7 (Poisson with mean 400).  40 examples give at most
+    # 80 z values, so a correct model fails with probability below 7.3e-5,
+    # about 5e-5.  Examples and seeds are hypothesis's own draws.
+    N = 10**9
+    MIN_EXPECTED = 400
+    Z_BOUND = 5.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 1.0),
+        p_pair=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_model_is_a_probability_matched_by_the_simulation(self, d, gamma, p_pair, seed):
+        params = DetectorParams(d, gamma, p_pair, 1.0 - p_pair)
+        p4 = det.fourfold_probability(params)
+        assert 0.0 <= p4 <= 1.0
+        stats = run(RunConfig(params, "XYY", self.N, seed))
+        report = compare_analytic(stats, params, "XYY")
+        assert report.analytic_p4 == p4
+        if min(self.N * p4, self.N * (1 - p4)) >= self.MIN_EXPECTED:
+            z = (stats.n_fourfold - self.N * p4) / math.sqrt(self.N * p4 * (1 - p4))
+            assert abs(z) <= self.Z_BOUND, ("p4", p4, stats)
+        e = report.analytic_e  # None where the exact E is undefined
+        if e is None:
+            return
+        assert -1.0 <= e <= 1.0
+        n4 = stats.n_fourfold
+        if min(n4 * (1 + e) / 2, n4 * (1 - e) / 2) >= self.MIN_EXPECTED:
+            z = (stats.e_hat - e) * math.sqrt(n4 / (1 - e * e))
+            assert abs(z) <= self.Z_BOUND, ("e", e, stats)
