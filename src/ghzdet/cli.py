@@ -187,8 +187,12 @@ _CONFIG_KEYS = {
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -257,7 +261,11 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     if args.events:
-        with open(args.events, "w") as stream:
+        try:
+            stream = open(args.events, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.events}: {exc}") from exc
+        with stream:
             stats = montecarlo.run(cfg, event_stream=stream)
     else:
         stats = montecarlo.run(cfg)
@@ -313,15 +321,15 @@ def cmd_quantum(args: argparse.Namespace) -> int:
                 "setting": setting,
                 "expectation": value,
                 "outcomes": [
-                    {"s1": int(s[0]), "s2": int(s[1]), "s3": int(s[2]), "p": float(p)}
-                    for s, p in zip(quantum.OUTCOME_SIGNS, probs)
+                    {"s1": s1, "s2": s2, "s3": s3, "p": p}
+                    for (s1, s2, s3), p in zip(quantum.OUTCOME_SIGNS, probs)
                 ],
             }
         )
     else:
         print(f"<{setting}> = {fmt(value)}")
-        for signs, p in zip(quantum.OUTCOME_SIGNS, probs):
-            print(f"({signs[0]:+d},{signs[1]:+d},{signs[2]:+d})  p = {fmt(float(p))}")
+        for (s1, s2, s3), p in zip(quantum.OUTCOME_SIGNS, probs):
+            print(f"({s1:+d},{s2:+d},{s3:+d})  p = {fmt(p)}")
     return EXIT_OK
 
 

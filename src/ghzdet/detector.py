@@ -95,8 +95,8 @@ class DetectorParams:
         cls, d: float, gamma: float, ratio: float, e_ghz: float = 1.0
     ) -> "DetectorParams":
         """Build from the pair-to-two-pair production ratio P(p1p2)/P(p1..p4)."""
-        if ratio < 0.0:
-            raise ValueError(f"ratio={ratio} must be >= 0")
+        if not (math.isfinite(ratio) and ratio >= 0.0):
+            raise ValueError(f"ratio={ratio} must be finite and >= 0")
         return cls(
             d=d,
             gamma=gamma,

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
-WITNESS_TOL = 1e-9
 
 # Atom order: abc, ab'c, abc', ab'c', a'bc, a'b'c, a'bc', a'b'c'
 # (prime/bar = value -1).  Column k of ATOM_SIGNS.T is the sign vector of atom k.

@@ -20,9 +20,9 @@ those into fourfold probabilities is what it checks, and it does its own:
   quadruple when D1..D3 all fired on real photons; otherwise a dark count
   took part and the product is uncorrelated.
 * Spins: correlated quadruples draw their outcome triples from the Born
-  probabilities of the setting mixed with noise, |e_ghz| born + (1 - |e_ghz|)/8,
-  with particle 1 flipped if e_ghz < 0, so their mean product is e_ghz times
-  the ideal one; uncorrelated fourfolds a fair +-1 product.
+  table of a source of visibility e_ghz (``quantum.outcome_probabilities``),
+  so their mean product is e_ghz times the ideal one; uncorrelated fourfolds
+  a fair +-1 product.
 
 Reproducibility: the draws come from one generator seeded by the master seed
 alone, so a run depends only on (config, seed).  The optional event log draws
@@ -43,8 +43,6 @@ from .quantum import ghz_state, validate_setting
 
 TWOPAIR_TAG = "TD1D2D3"
 EVENT_HEADER = "# creation,arrival,ghz,product"
-# Spin product s1 s2 s3 of each Born outcome index.
-_OUTCOME_PRODUCTS = quantum.OUTCOME_SIGNS.astype(np.int64).prod(axis=1)
 
 Z_FLAG_THRESHOLD = 4.0
 
@@ -63,8 +61,8 @@ class RunConfig:
 
     def __post_init__(self):
         validate_setting(self.setting)
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        if not 1 <= self.n_trials < 2**63:
+            raise ValueError("n_trials must be in [1, 2**63 - 1]")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.n_workers < 1:
@@ -133,11 +131,8 @@ def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
         dark = rng.binomial(dark, fire[1]) + rng.binomial(real - hit, p.gamma)
         real = hit
 
-    born = quantum.outcome_probabilities(ghz_state(), cfg.setting)
-    if p.e_ghz < 0.0:
-        born = born[np.arange(8) ^ 4]  # flipping particle 1 negates every product
-    # At e_ghz = 1 the mixture is born, bit for bit.
-    ghz_outcomes = rng.multinomial(real, abs(p.e_ghz) * born + (1.0 - abs(p.e_ghz)) / 8.0)
+    born = quantum.outcome_probabilities(ghz_state(p.e_ghz), cfg.setting)
+    ghz_outcomes = rng.multinomial(real, born)
     n_uncorrelated = int(pair_by_channel.sum() + dark)
     return _Counts(pair_by_channel, int(dark), ghz_outcomes, int(rng.binomial(n_uncorrelated, 0.5)))
 
@@ -147,7 +142,7 @@ def _stats(n_trials: int, counts: _Counts) -> RunStats:
     n_fourfold = n_ghz + counts.n_uncorrelated
     if n_fourfold == 0:
         return RunStats(n_trials, 0, 0, e_hat=None, std_err=None, p4_hat=0.0)
-    sum_products = int(counts.ghz_outcomes @ _OUTCOME_PRODUCTS)
+    sum_products = int(counts.ghz_outcomes @ quantum.OUTCOME_PRODUCTS)
     sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
     e_hat = sum_products / n_fourfold
     std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
@@ -174,7 +169,7 @@ def _write_events(counts: _Counts, rng: np.random.Generator, stream: IO[str]) ->
                              [*counts.pair_by_channel, counts.twopair_dark])
     products = np.full(len(uncorrelated), -1, dtype=np.int64)
     products[rng.permutation(len(uncorrelated))[: counts.uncorrelated_plus]] = 1
-    ghz = np.repeat(_OUTCOME_PRODUCTS, counts.ghz_outcomes)
+    ghz = np.repeat(quantum.OUTCOME_PRODUCTS, counts.ghz_outcomes)
     labels = np.concatenate([uncorrelated, np.full(len(ghz), f"twopair,{TWOPAIR_TAG},ghz")])
     products = np.concatenate([products, ghz])
     stream.write(EVENT_HEADER + "\n")

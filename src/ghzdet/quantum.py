@@ -1,54 +1,46 @@
 """Three-photon entangled-state predictions: expectations and outcome sampling.
 
-The state is (|++->|123 + |--+>|123)/sqrt(2) in the per-particle (+, -) basis.
-Each particle is analyzed along axis X or Y.  Analyzer operators are built
-from explicit 2x2 matrices tensored to 8x8.  The outcome labels of the X
-analyzer on particle 3 are swapped relative to particles 1 and 2 (its
-operator is -sigma_x): particle 3 is the odd one out in the state, and this
-labeling is the unique single-analyzer convention under which the state is a
-+1 eigenstate of XYY, YXY, YYX and a -1 eigenstate of XXX, matching the
-experimental value assignment.
+The state is (|++->|123 + |--+>|123)/sqrt(2) in the per-particle (+, -) basis,
+each particle analyzed along X or Y, with particle 3's X outcome labels swapped
+(operator -sigma_x): the unique single-analyzer convention under which the
+state is a +1 eigenstate of XYY, YXY, YYX and a -1 eigenstate of XXX, as in the
+experimental value assignment.  Every one- and two-particle correlation
+vanishes, so a setting's Born table is P(s1, s2, s3) = (1 + s1 s2 s3 v E)/8,
+with E = -1 for XXX, +1 for two Ys and 0 for an odd number of Ys
+(Greenberger, Horne, Shimony & Zeilinger, Am. J. Phys. 58, 1131 (1990);
+Mermin, PRL 65, 1838 (1990)).  The visibility v mixes in white noise,
+v rho + (1 - v) I/8, and for v < 0 rotates particle 1 by Z,
+|v| Z1 rho Z1 + (1 - |v|) I/8.  The tests derive the table from 8x8 matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .lhv import CorrelationSet
 
-NORM_TOL = 1e-12
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
 WITNESS_SETTINGS = ("XYY", "YXY", "YYX", "XXX")
 
 # Outcome triples (s1, s2, s3), index bit = 0 for +1, 1 for -1, particle 1
-# most significant.  OUTCOME_SIGNS[i] is the sign triple of outcome index i.
-OUTCOME_SIGNS = np.array(
-    [[1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1)] for i in range(8)],
-    dtype=np.int8,
+# most significant.  OUTCOME_SIGNS[i] is the sign triple of outcome index i,
+# OUTCOME_PRODUCTS[i] its spin product s1 s2 s3.
+OUTCOME_SIGNS = tuple(
+    (1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1)) for i in range(8)
 )
+OUTCOME_PRODUCTS = tuple(s1 * s2 * s3 for s1, s2, s3 in OUTCOME_SIGNS)
 
 
 @dataclass(frozen=True)
-class StateVector8:
-    """Complex amplitudes of a 3-qubit state, basis |+/-> per particle, + first."""
+class GHZState:
+    """The entangled source, as its visibility v in [-1, 1] (1 is ideal)."""
 
-    amplitudes: tuple[complex, ...]
+    visibility: float = 1.0
 
     def __post_init__(self):
-        if len(self.amplitudes) != 8:
-            raise ValueError("expected 8 amplitudes")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.as_array()) ** 2))
+        if not -1.0 <= self.visibility <= 1.0:
+            raise ValueError(f"visibility={self.visibility} outside [-1, 1]")
 
 
 def validate_setting(setting: str) -> str:
@@ -58,90 +50,33 @@ def validate_setting(setting: str) -> str:
     return setting
 
 
-def ghz_state() -> StateVector8:
-    """Amplitudes 1/sqrt(2) on |++-> (index 1) and |--+> (index 6)."""
-    amp = 1.0 / np.sqrt(2.0)
-    a = [0.0 + 0.0j] * 8
-    a[0b001] = amp
-    a[0b110] = amp
-    return StateVector8(tuple(a))
+def ghz_state(visibility: float = 1.0) -> GHZState:
+    return GHZState(visibility)
 
 
-def analyzer_matrix(particle: int, axis: str) -> np.ndarray:
-    """2x2 observable for one particle; particle 3's X carries swapped labels."""
-    if axis == "Y":
-        return _SIGMA_Y
-    if particle == 3:
-        return -_SIGMA_X
-    return _SIGMA_X
-
-
-def _check_normalized(state: StateVector8) -> np.ndarray:
-    psi = state.as_array()
-    if abs(state.norm_squared() - 1.0) > NORM_TOL:
-        raise ValueError(f"state not normalized: |psi|^2 = {state.norm_squared()}")
-    return psi
-
-
-def operator_expectation(state: StateVector8, setting: str) -> float:
-    """<psi| O1 (x) O2 (x) O3 |psi> for the given axis triple."""
-    setting = validate_setting(setting)
-    psi = _check_normalized(state)
-    op = np.array([[1.0 + 0.0j]])
-    for particle, axis in enumerate(setting, start=1):
-        op = np.kron(op, analyzer_matrix(particle, axis))
-    value = np.vdot(psi, op @ psi)
-    assert abs(value.imag) < NORM_TOL, value
-    return float(value.real)
+def operator_expectation(state: GHZState, setting: str) -> float:
+    """<O1 O2 O3> for the given axis triple: v times -1, +1 or 0."""
+    n_y = validate_setting(setting).count("Y")
+    if n_y % 2:
+        return 0.0
+    return state.visibility if n_y == 2 else -state.visibility
 
 
 def ghz_witness() -> CorrelationSet:
-    """The moment tetrad of the entangled state: computed, not hard-coded."""
+    """The moment tetrad of the ideal state, exactly (1, 1, 1, -1)."""
     state = ghz_state()
-    values = (operator_expectation(state, s) for s in WITNESS_SETTINGS)
-    return CorrelationSet(*(min(1.0, max(-1.0, v)) for v in values))
+    return CorrelationSet(*(operator_expectation(state, s) for s in WITNESS_SETTINGS))
 
 
-def _eigenvector(particle: int, axis: str, sign: int) -> np.ndarray:
-    """Eigenvector of analyzer_matrix(particle, axis) with eigenvalue `sign`."""
-    s = 1.0 / np.sqrt(2.0)
-    if axis == "Y":
-        return np.array([s, sign * 1.0j * s])
-    if particle == 3:
-        sign = -sign
-    return np.array([s, sign * s])
+def outcome_probabilities(state: GHZState, setting: str) -> tuple[float, ...]:
+    """Born probabilities of the 8 outcome triples, in OUTCOME_SIGNS order."""
+    e = operator_expectation(state, setting)
+    return tuple((1.0 + s * e) / 8.0 for s in OUTCOME_PRODUCTS)
 
 
-@lru_cache(maxsize=None)
-def _cached_probabilities(amplitudes: tuple[complex, ...], setting: str) -> np.ndarray:
-    psi = np.asarray(amplitudes, dtype=complex)
-    probs = np.empty(8)
-    for idx, signs in enumerate(OUTCOME_SIGNS):
-        basis = np.array([1.0 + 0.0j])
-        for particle, (axis, sign) in enumerate(zip(setting, signs), start=1):
-            basis = np.kron(basis, _eigenvector(particle, axis, int(sign)))
-        probs[idx] = abs(np.vdot(basis, psi)) ** 2
-    assert np.all(probs >= -NORM_TOL)
-    assert abs(probs.sum() - 1.0) < NORM_TOL, probs.sum()
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    probs.setflags(write=False)
-    return probs
-
-
-def outcome_probabilities(state: StateVector8, setting: str) -> np.ndarray:
-    """Born probabilities of the 8 outcome triples, cached per setting."""
-    setting = validate_setting(setting)
-    _check_normalized(state)
-    return _cached_probabilities(state.amplitudes, setting)
-
-
-def sample_many(
-    state: StateVector8, setting: str, n: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_many(state: GHZState, setting: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n outcome triples; returns an (n, 3) array of ±1 signs."""
-    probs = outcome_probabilities(state, setting)
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(outcome_probabilities(state, setting))
     idx = np.searchsorted(cdf, rng.random(n), side="right")
     idx = np.minimum(idx, 7)  # guard the u == 1.0 edge
-    return OUTCOME_SIGNS[idx].astype(np.int64)
+    return np.array(OUTCOME_SIGNS, dtype=np.int64)[idx]

@@ -173,6 +173,7 @@ def test_acceptance_10_contour_inversion():
     gamma = det.find_gamma_for_correlation(0.5, 1e10, 0.92)
     assert 5.9e-7 <= gamma <= 6.1e-7
     e_back = det.corrected_correlation(DetectorParams.from_ratio(0.5, gamma, 1e10), "approx")
-    # gamma is bisected to 1e-12 absolute, which is roughly 5e-8 in E
+    # gamma comes from the closed-form inversion, so E lands on the level
+    # to rounding
     assert e_back == pytest.approx(0.92, abs=1e-7)
     report(10, f"gamma({0.92}) = {gamma:.4e} inside [5.9e-7, 6.1e-7]")

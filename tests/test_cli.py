@@ -234,6 +234,28 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--config", str(config), capsys=capsys)
         assert code == 2
 
+    def test_too_many_trials(self, capsys):
+        code, out = run_cli(
+            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", "100000000000000000000", "--seed", "1", capsys=capsys,
+        )
+        assert code == 2
+        assert "n_trials" in out.err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code, out = run_cli("simulate", "--config", str(tmp_path / "run.cfg"), capsys=capsys)
+        assert code == 2
+        assert "cannot read" in out.err
+
+    def test_unwritable_event_log(self, tmp_path, capsys):
+        code, out = run_cli(
+            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", "1000", "--seed", "1", "--events", str(tmp_path / "no-dir" / "x.log"),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert "cannot write" in out.err
+
     def test_event_log_written(self, tmp_path, capsys):
         log = tmp_path / "events.log"
         code, out = run_cli(

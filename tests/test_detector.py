@@ -18,6 +18,11 @@ class TestParams:
         assert p.p_twopair == pytest.approx(0.1)
         assert p.ratio == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+    def test_from_ratio_rejects_non_finite(self, ratio):
+        with pytest.raises(ValueError, match=f"ratio={ratio} must be finite"):
+            DetectorParams.from_ratio(0.5, 1e-3, ratio)
+
     def test_rate_spec_rejects_saturated_window(self):
         with pytest.raises(ValueError):
             RateSpec(dark_rate=1e12, window=1.0)

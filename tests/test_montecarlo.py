@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             scaled_config(n_workers=0)
 
+    def test_n_trials_fits_the_binomial_sampler(self):
+        # numpy's binomial takes an int64 count; one more overflowed there.
+        assert scaled_config(n_trials=2**63 - 1).n_trials == 2**63 - 1
+        with pytest.raises(ValueError, match="n_trials"):
+            scaled_config(n_trials=2**63)
+
 
 class TestRun:
     def test_deterministic_for_fixed_seed(self):
