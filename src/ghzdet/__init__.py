@@ -1,5 +1,9 @@
 """Joint-distribution feasibility of three-particle correlations and a
-detector-inefficiency model of the corresponding coincidence experiment."""
+detector-inefficiency model of the corresponding coincidence experiment.
+
+The simulation names (RunConfig, RunStats, compare_analytic, run) are loaded
+on first use, so that ``import ghzdet`` does not import numpy.
+"""
 
 from .detector import DetectorParams, RateSpec
 from .lhv import (
@@ -14,8 +18,18 @@ from .lhv import (
     feasible_oracle,
     mermin_f,
 )
-from .montecarlo import RunConfig, RunStats, compare_analytic, run
 from .quantum import ghz_state, ghz_witness, operator_expectation
+
+_MONTECARLO_NAMES = ("RunConfig", "RunStats", "compare_analytic", "run")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CorrelationSet",

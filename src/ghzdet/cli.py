@@ -2,20 +2,24 @@
 parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
-Numbers are printed with 12 significant digits.
+Numbers are printed with 12 significant digits.  numpy is imported only where
+arrays are built (sweep, simulate, construct-joint and the exact correlation),
+so check, quantum and the approx or count-ratio correlation start without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from . import detector, lhv, quantum
 
-from . import detector, lhv, montecarlo, quantum
+if TYPE_CHECKING:
+    from . import montecarlo
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -35,7 +39,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     c = lhv.CorrelationSet(args.e_a, args.e_b, args.e_c, args.e_abc)
     report = lhv.check_inequalities(c)
-    witness = lhv.feasible_oracle(c) if report.feasible else None
+    witness = lhv._witness(c) if report.feasible else None
     if args.json:
         _emit_json(
             {
@@ -82,8 +86,8 @@ def _parse_ratio_counts(text: str) -> float:
         r = float(num) / float(den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"--ratio-counts expects A:B with B > 0, got {text!r}") from exc
-    if r < 0.0:
-        raise ValueError("--ratio-counts must be nonnegative")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"--ratio-counts must give a finite nonnegative ratio, got {text!r}")
     return r
 
 
@@ -146,6 +150,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("gamma bounds must satisfy 0 < min <= max <= 1")
     if not 0.0 < args.d_min <= args.d_max <= 1.0:
         raise ValueError("d bounds must satisfy 0 < min <= max <= 1")
+    import numpy as np
+
     gammas = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     ds = np.linspace(args.d_min, args.d_max, args.d_steps)
     grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
@@ -207,6 +213,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
+    from . import montecarlo
+
     cfg = _load_config_file(args.config) if args.config else {}
 
     def pick(flag_value, key, cast):
@@ -259,6 +267,8 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     cfg = _build_run_config(args)
     if args.events:
         try:

@@ -23,15 +23,18 @@ Array path: d and gamma may be arrays of one shape, a grid of detectors, and
 E, sigma and the separation then come out as arrays from the same expressions,
 with every check applied to every cell.  ``ghzdet sweep`` works this way.
 Integer powers are written as products, which round the same for floats and
-arrays.
+arrays.  Anything with a ``shape`` counts as an array.
+
+Floats need no numpy: the approx mode, sigma and the separation are plain
+Python on floats.  numpy is imported inside the array path of
+sigma_separation and in pair_fourfold_probability, whose log1p/expm1 the
+exact mode calls for floats too, so that a float and a grid cell round alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 ARRIVAL_TAGS = (
     "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
@@ -57,7 +60,7 @@ PROB_TOL = 1e-12
 
 def _holds(condition) -> bool:
     """A comparison's result for floats, or whether it holds in every cell."""
-    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+    return bool(condition.all()) if hasattr(condition, "shape") else bool(condition)
 
 
 def _check_prob(name: str, value: float) -> float:
@@ -120,8 +123,9 @@ class RateSpec:
     window: float
 
     def __post_init__(self):
-        if self.dark_rate < 0.0 or self.window < 0.0:
-            raise ValueError("dark_rate and window must be >= 0")
+        for name, value in (("dark_rate", self.dark_rate), ("window", self.window)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name}={value} must be finite and >= 0")
         if self.dark_rate * self.window > 1.0:
             raise ValueError(
                 f"dark_rate * window = {self.dark_rate * self.window} exceeds 1"
@@ -150,6 +154,8 @@ def pair_fourfold_probability(d: float, gamma: float) -> float:
     of the other channels, so the union is 1 - prod(1 - q).  It is taken in
     logs: with q ~ gamma^2 the plain product rounds 1 - q to 1.
     """
+    import numpy as np
+
     fire = fire_probabilities(d, gamma)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a certain channel
         log_miss = sum(np.log1p(-(fire[t] * fire[d1] * fire[d2] * fire[d3]))
@@ -233,13 +239,17 @@ def sigma_separation(e: float, boundary: float = 0.5) -> float:
     array E gives nan in the cells that do not.
     """
     sigma = sigma_of_correlation(e)
-    if not isinstance(e, np.ndarray) and e <= boundary:
-        raise ValueError(f"correlation {e} does not exceed the boundary {boundary}")
+    if not hasattr(e, "shape"):
+        if e <= boundary:
+            raise ValueError(f"correlation {e} does not exceed the boundary {boundary}")
+        separation = (e - boundary) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at E = 1
+        return separation if separation <= SEPARATION_CAP else math.inf
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         separation = np.divide(e - boundary, sigma)  # inf at sigma = 0, E = 1
     separation = np.where(separation <= SEPARATION_CAP, separation, np.inf)
-    separation = np.where(e > boundary, separation, np.nan)
-    return separation if isinstance(e, np.ndarray) else float(separation)
+    return np.where(e > boundary, separation, np.nan)
 
 
 def find_gamma_for_correlation(

@@ -10,32 +10,34 @@ inequalities -2 <= ±E(A) ± E(B) ± E(C) ± E(ABC) <= 2 (odd number of minus
 signs).  They decide feasibility, and every feasible tetrad gets a closed-form
 witness.  The tests check both against an enumeration of the basic square
 subsystems of the moment equations.
+
+The one-tetrad functions run on plain floats.  numpy is imported only inside
+the functions that take or make arrays: the batch masks,
+``JointDistribution8.as_array`` and ``expectations_from_joint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SIMPLEX_TOL = 1e-12
 
 # Atom order: abc, ab'c, abc', ab'c', a'bc, a'b'c, a'bc', a'b'c'
-# (prime/bar = value -1).  Column k of ATOM_SIGNS.T is the sign vector of atom k.
-ATOM_SIGNS = np.array(
-    [
-        [+1, +1, +1],
-        [+1, -1, +1],
-        [+1, +1, -1],
-        [+1, -1, -1],
-        [-1, +1, +1],
-        [-1, -1, +1],
-        [-1, +1, -1],
-        [-1, -1, -1],
-    ],
-    dtype=float,
+# (prime/bar = value -1).  ATOM_SIGNS[k] is the sign vector of atom k.
+ATOM_SIGNS = (
+    (+1.0, +1.0, +1.0),
+    (+1.0, -1.0, +1.0),
+    (+1.0, +1.0, -1.0),
+    (+1.0, -1.0, -1.0),
+    (-1.0, +1.0, +1.0),
+    (-1.0, -1.0, +1.0),
+    (-1.0, +1.0, -1.0),
+    (-1.0, -1.0, -1.0),
 )
 
 ATOM_LABELS = ("abc", "ab'c", "abc'", "ab'c'", "a'bc", "a'b'c", "a'bc'", "a'b'c'")
@@ -45,14 +47,11 @@ ATOM_LABELS = ("abc", "ab'c", "abc'", "ab'c'", "a'bc", "a'b'c", "a'bc'", "a'b'c'
 HADAMARD_ROWS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 # Sign patterns of the four inequalities applied to (E_A, E_B, E_C, E_ABC).
-INEQUALITY_SIGNS = np.array(
-    [
-        [+1, +1, +1, -1],
-        [-1, +1, +1, +1],
-        [+1, -1, +1, +1],
-        [+1, +1, -1, +1],
-    ],
-    dtype=float,
+INEQUALITY_SIGNS = (
+    (+1.0, +1.0, +1.0, -1.0),
+    (-1.0, +1.0, +1.0, +1.0),
+    (+1.0, -1.0, +1.0, +1.0),
+    (+1.0, +1.0, -1.0, +1.0),
 )
 
 
@@ -89,6 +88,8 @@ class JointDistribution8:
             raise ValueError(f"atom probabilities sum to {sum(self.probs)}, not 1")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.probs, dtype=float)
 
 
@@ -129,7 +130,7 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
     """
     e = c.as_tuple()
     slacks = []
-    for row in INEQUALITY_SIGNS.tolist():  # in plain floats
+    for row in INEQUALITY_SIGNS:
         v = sum(map(mul, row, e))
         slacks.append(v + 2.0)  # distance above the lower bound
         slacks.append(2.0 - v)  # distance below the upper bound
@@ -138,7 +139,12 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
 
 
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
-    """The closed-form witness, or None exactly when check_inequalities says infeasible.
+    """The closed-form witness, or None exactly when check_inequalities says infeasible."""
+    return _witness(c) if check_inequalities(c).feasible else None
+
+
+def _witness(c: CorrelationSet) -> JointDistribution8:
+    """The closed-form witness of a tetrad that check_inequalities says is feasible.
 
     With lam_i = x . h_i / 4 and s = 1 - sum_i |lam_i|, the atom +h_i gets
     max(lam_i, 0) + s/8 and -h_i gets max(-lam_i, 0) + s/8: each pair differs
@@ -146,8 +152,6 @@ def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
     a few ulp below zero on a bound, so it is clamped at zero and the atoms
     are renormalised.
     """
-    if not check_inequalities(c).feasible:
-        return None
     e = c.as_tuple()
     lam = [sum(map(mul, h, e)) / 4.0 for h in HADAMARD_ROWS]
     share = max(0.0, 1.0 - sum(map(abs, lam))) / 8.0
@@ -158,21 +162,28 @@ def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
 
 def feasible_mask_oracle(tetrads: np.ndarray) -> np.ndarray:
     """Vectorized cross-polytope decision sum_i |x . h_i| <= 4 for an (n, 4) array."""
+    import numpy as np
+
     moments = np.asarray(tetrads, dtype=float) @ np.array(HADAMARD_ROWS, dtype=float).T
     return np.abs(moments).sum(axis=1) <= 4.0
 
 
 def feasible_mask_inequalities(tetrads: np.ndarray) -> np.ndarray:
     """Vectorized inequality decision for an (n, 4) array of tetrads."""
-    values = np.asarray(tetrads, dtype=float) @ INEQUALITY_SIGNS.T
+    import numpy as np
+
+    values = np.asarray(tetrads, dtype=float) @ np.array(INEQUALITY_SIGNS).T
     return (np.abs(values) <= 2.0).all(axis=1)
 
 
 def expectations_from_joint(j: JointDistribution8) -> CorrelationSet:
     """Recover (E_A, E_B, E_C, E_ABC) by signed atom sums."""
+    import numpy as np
+
     p = j.as_array()
-    e_a, e_b, e_c = ATOM_SIGNS.T @ p
-    e_abc = np.prod(ATOM_SIGNS, axis=1) @ p
+    signs = np.array(ATOM_SIGNS)
+    e_a, e_b, e_c = signs.T @ p
+    e_abc = np.prod(signs, axis=1) @ p
     clip = lambda v: float(min(1.0, max(-1.0, v)))
     return CorrelationSet(clip(e_a), clip(e_b), clip(e_c), clip(e_abc))
 

@@ -16,10 +16,12 @@ v rho + (1 - v) I/8, and for v < 0 rotates particle 1 by Z,
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lhv import CorrelationSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WITNESS_SETTINGS = ("XYY", "YXY", "YYX", "XXX")
 
@@ -76,6 +78,8 @@ def outcome_probabilities(state: GHZState, setting: str) -> tuple[float, ...]:
 
 def sample_many(state: GHZState, setting: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n outcome triples; returns an (n, 3) array of ±1 signs."""
+    import numpy as np
+
     cdf = np.cumsum(outcome_probabilities(state, setting))
     idx = np.searchsorted(cdf, rng.random(n), side="right")
     idx = np.minimum(idx, 7)  # guard the u == 1.0 edge

@@ -88,6 +88,24 @@ class TestCorrelation:
         code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("counts", ["inf:1", "nan:1", "1e300:1e-300"])
+    def test_non_finite_ratio_counts(self, capsys, counts):
+        code, out = run_cli("correlation", "--ratio-counts", counts, capsys=capsys)
+        assert code == 2
+        assert out.out == ""
+        assert "--ratio-counts" in out.err
+
+    @pytest.mark.parametrize(
+        "rate, window, field",
+        [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],
+    )
+    def test_non_finite_rates(self, capsys, rate, window, field):
+        code, out = run_cli(
+            "correlation", "--dark-rate", rate, "--window", window, capsys=capsys
+        )
+        assert code == 2
+        assert f"{field}=" in out.err
+
 
 class TestSweep:
     @pytest.mark.parametrize("mode", ["approx", "exact"])

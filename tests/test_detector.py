@@ -27,6 +27,20 @@ class TestParams:
         with pytest.raises(ValueError):
             RateSpec(dark_rate=1e12, window=1.0)
 
+    @pytest.mark.parametrize(
+        "dark_rate, window, field",
+        [
+            (math.nan, 1e-9, "dark_rate"),
+            (1.0, math.nan, "window"),
+            (math.inf, 0.0, "dark_rate"),
+            (0.0, math.inf, "window"),
+            (-1.0, 1e-9, "dark_rate"),
+        ],
+    )
+    def test_rate_spec_rejects_non_finite_or_negative(self, dark_rate, window, field):
+        with pytest.raises(ValueError, match=f"^{field}=.* must be finite and >= 0"):
+            RateSpec(dark_rate, window)
+
 
 class TestGammaFromRates:
     def test_reported_rate(self):

@@ -58,7 +58,7 @@ def acceptance_tetrads() -> np.ndarray:
 
 def witness_moments(witness: JointDistribution8) -> list[float]:
     """(E_A, E_B, E_C, E_ABC) of a witness, summed exactly atom by atom."""
-    atoms = [(a, b, c, a * b * c) for a, b, c in lhv.ATOM_SIGNS.tolist()]
+    atoms = [(a, b, c, a * b * c) for a, b, c in lhv.ATOM_SIGNS]
     return [math.fsum(p * atom[k] for p, atom in zip(witness.probs, atoms)) for k in range(4)]
 
 
