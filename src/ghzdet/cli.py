@@ -82,12 +82,14 @@ def cmd_construct_joint(args: argparse.Namespace) -> int:
 
 def _parse_ratio_counts(text: str) -> float:
     try:
-        num, den = text.split(":")
-        r = float(num) / float(den)
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = map(float, text.split(":"))
+    except ValueError as exc:
         raise ValueError(f"--ratio-counts expects A:B with B > 0, got {text!r}") from exc
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"--ratio-counts must give a finite nonnegative ratio, got {text!r}")
+    if not (math.isfinite(num) and num >= 0.0 and math.isfinite(den) and den > 0.0):
+        raise ValueError(f"--ratio-counts needs finite counts A >= 0 and B > 0, got {text!r}")
+    r = num / den
+    if not math.isfinite(r):
+        raise ValueError(f"--ratio-counts must give a finite ratio, got {text!r}")
     return r
 
 

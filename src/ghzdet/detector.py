@@ -34,7 +34,7 @@ exact mode calls for floats too, so that a float and a grid cell round alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 ARRIVAL_TAGS = (
     "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
@@ -69,29 +69,24 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_ghz")):
     """Efficiency, dark-count probability and creation probabilities.
 
     d and gamma may be arrays of one shape (the module's array path)."""
 
-    d: float
-    gamma: float
-    p_pair: float
-    p_twopair: float
-    e_ghz: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob("d", self.d)
-        _check_prob("gamma", self.gamma)
-        _check_prob("p_pair", self.p_pair)
-        _check_prob("p_twopair", self.p_twopair)
-        if not -1.0 <= self.e_ghz <= 1.0:
-            raise ValueError(f"e_ghz={self.e_ghz} outside [-1, 1]")
-        if abs(self.p_pair + self.p_twopair - 1.0) > PROB_TOL:
-            raise ValueError(
-                f"p_pair + p_twopair = {self.p_pair + self.p_twopair}, must be 1"
-            )
+    def __new__(cls, d: float, gamma: float, p_pair: float, p_twopair: float,
+                e_ghz: float = 1.0):
+        _check_prob("d", d)
+        _check_prob("gamma", gamma)
+        _check_prob("p_pair", p_pair)
+        _check_prob("p_twopair", p_twopair)
+        if not -1.0 <= e_ghz <= 1.0:
+            raise ValueError(f"e_ghz={e_ghz} outside [-1, 1]")
+        if abs(p_pair + p_twopair - 1.0) > PROB_TOL:
+            raise ValueError(f"p_pair + p_twopair = {p_pair + p_twopair}, must be 1")
+        return super().__new__(cls, d, gamma, p_pair, p_twopair, e_ghz)
 
     @classmethod
     def from_ratio(
@@ -115,21 +110,18 @@ class DetectorParams:
         return self.p_pair / self.p_twopair
 
 
-@dataclass(frozen=True)
-class RateSpec:
+class RateSpec(namedtuple("RateSpec", "dark_rate window")):
     """Dark-count rate (counts/s) and coincidence window (s)."""
 
-    dark_rate: float
-    window: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in (("dark_rate", self.dark_rate), ("window", self.window)):
+    def __new__(cls, dark_rate: float, window: float):
+        for name, value in (("dark_rate", dark_rate), ("window", window)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name}={value} must be finite and >= 0")
-        if self.dark_rate * self.window > 1.0:
-            raise ValueError(
-                f"dark_rate * window = {self.dark_rate * self.window} exceeds 1"
-            )
+        if dark_rate * window > 1.0:
+            raise ValueError(f"dark_rate * window = {dark_rate * window} exceeds 1")
+        return super().__new__(cls, dark_rate, window)
 
 
 def gamma_from_rates(r: RateSpec) -> float:

@@ -11,16 +11,17 @@ signs).  They decide feasibility, and every feasible tetrad gets a closed-form
 witness.  The tests check both against an enumeration of the basic square
 subsystems of the moment equations.
 
-The one-tetrad functions run on plain floats.  numpy is imported only inside
-the functions that take or make arrays: the batch masks,
-``JointDistribution8.as_array`` and ``expectations_from_joint``.
+The decisions run on plain floats, and the batch masks take any sequence of
+tetrads and return a list.  numpy is imported only inside
+``JointDistribution8.as_array`` and ``expectations_from_joint``.  The records
+are immutable named tuples, checked when they are made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,10 +43,6 @@ ATOM_SIGNS = (
 
 ATOM_LABELS = ("abc", "ab'c", "abc'", "ab'c'", "a'bc", "a'b'c", "a'bc'", "a'b'c'")
 
-# Moment vectors (E_A, E_B, E_C, E_ABC) h_1..h_4 of abc, ab'c, abc', ab'c'.
-# a'bc, a'b'c, a'bc', a'b'c' carry -h_4 ... -h_1.
-HADAMARD_ROWS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
-
 # Sign patterns of the four inequalities applied to (E_A, E_B, E_C, E_ABC).
 INEQUALITY_SIGNS = (
     (+1.0, +1.0, +1.0, -1.0),
@@ -55,37 +52,35 @@ INEQUALITY_SIGNS = (
 )
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
+class CorrelationSet(namedtuple("CorrelationSet", "e_a e_b e_c e_abc")):
     """The moment tetrad (E_A, E_B, E_C, E_ABC), each in [-1, 1]."""
 
-    e_a: float
-    e_b: float
-    e_c: float
-    e_abc: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in zip(("e_a", "e_b", "e_c", "e_abc"), self.as_tuple()):
+    def __new__(cls, e_a: float, e_b: float, e_c: float, e_abc: float):
+        self = super().__new__(cls, e_a, e_b, e_c, e_abc)
+        for name, value in zip(cls._fields, self):
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [-1, 1]")
+        return self
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.e_a, self.e_b, self.e_c, self.e_abc)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class JointDistribution8:
+class JointDistribution8(namedtuple("JointDistribution8", "probs")):
     """Probabilities of the eight atoms, in ATOM_LABELS order."""
 
-    probs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.probs) != 8:
+    def __new__(cls, probs: tuple[float, ...]):
+        if len(probs) != 8:
             raise ValueError("expected 8 atom probabilities")
-        if any(p < 0.0 for p in self.probs):
+        if any(p < 0.0 for p in probs):
             raise ValueError("negative atom probability")
-        if abs(sum(self.probs) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"atom probabilities sum to {sum(self.probs)}, not 1")
+        if abs(sum(probs) - 1.0) > SIMPLEX_TOL:
+            raise ValueError(f"atom probabilities sum to {sum(probs)}, not 1")
+        return super().__new__(cls, probs)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -93,27 +88,28 @@ class JointDistribution8:
         return np.asarray(self.probs, dtype=float)
 
 
-@dataclass(frozen=True)
-class SymmetricParams:
+class SymmetricParams(namedtuple("SymmetricParams", "p q")):
     """Symmetric marginals: p = P(a) = P(b) = P(c), q = P(ABC = 1)."""
 
-    p: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q={self.q} outside [0, 1]")
+    def __new__(cls, p: float, q: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p} outside [0, 1]")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q={q} outside [0, 1]")
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    # (lower, upper) slack for each of the four inequalities, flattened:
-    # [lo1, up1, lo2, up2, lo3, up3, lo4, up4].  All >= 0 iff feasible.
-    slacks: tuple[float, ...]
-    f_value: float
+class FeasibilityReport(namedtuple("FeasibilityReport", "feasible slacks f_value")):
+    """check_inequalities' decision, its slacks and F.
+
+    slacks holds the (lower, upper) slack of each of the four inequalities,
+    flattened: [lo1, up1, lo2, up2, lo3, up3, lo4, up4].  All >= 0 iff
+    feasible.
+    """
+
+    __slots__ = ()
 
 
 def mermin_f(c: CorrelationSet) -> float:
@@ -139,41 +135,66 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
 
 
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
-    """The closed-form witness, or None exactly when check_inequalities says infeasible."""
-    return _witness(c) if check_inequalities(c).feasible else None
+    """The closed-form witness, or None exactly when check_inequalities says infeasible.
+
+    It decides from check_inequalities' four sums v, added in the same order
+    (e_b - e_a is -e_a + e_b exactly).  |v| <= 2 holds iff both slacks v + 2
+    and 2 - v are >= 0: near zero they are exact by Sterbenz's lemma, so
+    rounding cannot carry them across it.
+    """
+    e_a, e_b, e_c, e_abc = c
+    if (abs(e_a + e_b + e_c - e_abc) <= 2.0 and abs(e_b - e_a + e_c + e_abc) <= 2.0
+            and abs(e_a - e_b + e_c + e_abc) <= 2.0 and abs(e_a + e_b - e_c + e_abc) <= 2.0):
+        return _witness(c)
+    return None
 
 
 def _witness(c: CorrelationSet) -> JointDistribution8:
     """The closed-form witness of a tetrad that check_inequalities says is feasible.
 
+    The moment vectors (E_A, E_B, E_C, E_ABC) of abc, ab'c, abc', ab'c' are
+    the Hadamard rows h_1..h_4 = (1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1),
+    (1, -1, -1, 1); a'bc, a'b'c, a'bc', a'b'c' carry -h_4 ... -h_1.
     With lam_i = x . h_i / 4 and s = 1 - sum_i |lam_i|, the atom +h_i gets
     max(lam_i, 0) + s/8 and -h_i gets max(-lam_i, 0) + s/8: each pair differs
     by lam_i, which reproduces x, and the eight sum to 1.  Rounding can leave s
     a few ulp below zero on a bound, so it is clamped at zero and the atoms
     are renormalised.
     """
-    e = c.as_tuple()
-    lam = [sum(map(mul, h, e)) / 4.0 for h in HADAMARD_ROWS]
+    e_a, e_b, e_c, e_abc = c
+    lam = (
+        (e_a + e_b + e_c + e_abc) / 4.0,
+        (e_a - e_b + e_c - e_abc) / 4.0,
+        (e_a + e_b - e_c - e_abc) / 4.0,
+        (e_a - e_b - e_c + e_abc) / 4.0,
+    )
     share = max(0.0, 1.0 - sum(map(abs, lam))) / 8.0
     probs = [max(v, 0.0) + share for v in lam] + [max(-v, 0.0) + share for v in reversed(lam)]
     total = sum(probs)
     return JointDistribution8(tuple(p / total for p in probs))
 
 
-def feasible_mask_oracle(tetrads: np.ndarray) -> np.ndarray:
-    """Vectorized cross-polytope decision sum_i |x . h_i| <= 4 for an (n, 4) array."""
-    import numpy as np
+def feasible_mask_inequalities(tetrads: Iterable[Sequence[float]]) -> list[bool]:
+    """feasible_oracle's decision for each tetrad (E_A, E_B, E_C, E_ABC).
 
-    moments = np.asarray(tetrads, dtype=float) @ np.array(HADAMARD_ROWS, dtype=float).T
-    return np.abs(moments).sum(axis=1) <= 4.0
+    The tetrads may be tuples, lists or the rows of an (n, 4) array; for an
+    array the entries are numpy bools.  Each entry is the scalar decision bit
+    for bit: the same four sums in the same order, with no numpy.  A row
+    outside [-1, 1]^4, which CorrelationSet rejects and no model reproduces,
+    gives False.
+    """
+    return [
+        abs(e_a + e_b + e_c - e_abc) <= 2.0 and abs(e_b - e_a + e_c + e_abc) <= 2.0
+        and abs(e_a - e_b + e_c + e_abc) <= 2.0 and abs(e_a + e_b - e_c + e_abc) <= 2.0
+        and -1.0 <= e_a <= 1.0 and -1.0 <= e_b <= 1.0 and -1.0 <= e_c <= 1.0
+        and -1.0 <= e_abc <= 1.0
+        for e_a, e_b, e_c, e_abc in tetrads
+    ]
 
 
-def feasible_mask_inequalities(tetrads: np.ndarray) -> np.ndarray:
-    """Vectorized inequality decision for an (n, 4) array of tetrads."""
-    import numpy as np
-
-    values = np.asarray(tetrads, dtype=float) @ np.array(INEQUALITY_SIGNS).T
-    return (np.abs(values) <= 2.0).all(axis=1)
+# The closed-form oracle decides by the inequalities, so its batch form is the
+# same function.
+feasible_mask_oracle = feasible_mask_inequalities
 
 
 def expectations_from_joint(j: JointDistribution8) -> CorrelationSet:

@@ -15,7 +15,7 @@ v rho + (1 - v) I/8, and for v < 0 rotates particle 1 by Z,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .lhv import CorrelationSet
@@ -34,15 +34,15 @@ OUTCOME_SIGNS = tuple(
 OUTCOME_PRODUCTS = tuple(s1 * s2 * s3 for s1, s2, s3 in OUTCOME_SIGNS)
 
 
-@dataclass(frozen=True)
-class GHZState:
+class GHZState(namedtuple("GHZState", "visibility")):
     """The entangled source, as its visibility v in [-1, 1] (1 is ideal)."""
 
-    visibility: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -1.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility={self.visibility} outside [-1, 1]")
+    def __new__(cls, visibility: float = 1.0):
+        if not -1.0 <= visibility <= 1.0:
+            raise ValueError(f"visibility={visibility} outside [-1, 1]")
+        return super().__new__(cls, visibility)
 
 
 def validate_setting(setting: str) -> str:

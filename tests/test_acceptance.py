@@ -45,14 +45,17 @@ def test_acceptance_02_oracle_equivalence():
     rng = np.random.default_rng(20260825)
     randoms = rng.uniform(-1.0, 1.0, size=(10_000, 4))
     tetrads = np.vstack([grid, randoms])
+    # The cross-polytope description sum_i |x . h_i| <= 4 as the reference.
+    hadamard = np.array([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)])
+    reference = np.abs(tetrads @ hadamard.T).sum(axis=1) <= 4.0
     by_ineq = lhv.feasible_mask_inequalities(tetrads)
     by_oracle = lhv.feasible_mask_oracle(tetrads)
-    disagreements = int(np.sum(by_ineq != by_oracle))
+    disagreements = sum(int(np.sum(np.array(m) != reference)) for m in (by_ineq, by_oracle))
     assert disagreements == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(2, f"inequalities and closed-form cross-polytope oracle agree on all {len(tetrads)} "
-              f"tetrads, 0 disagreements ({elapsed:.1f}s)")
+    report(2, f"inequality and oracle masks agree with the cross-polytope test on all "
+              f"{len(tetrads)} tetrads, 0 disagreements ({elapsed:.1f}s)")
 
 
 def test_acceptance_03_symmetric_construction():

@@ -88,12 +88,18 @@ class TestCorrelation:
         code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("counts", ["inf:1", "nan:1", "1e300:1e-300"])
+    @pytest.mark.parametrize("counts", ["inf:1", "nan:1", "1e300:1e-300", "1:inf", "-1:-12"])
     def test_non_finite_ratio_counts(self, capsys, counts):
-        code, out = run_cli("correlation", "--ratio-counts", counts, capsys=capsys)
+        # The `=` form keeps argparse from reading "-1:-12" as an option.
+        code, out = run_cli("correlation", f"--ratio-counts={counts}", capsys=capsys)
         assert code == 2
         assert out.out == ""
         assert "--ratio-counts" in out.err
+
+    def test_no_background_counts_gives_one(self, capsys):
+        code, out = run_cli("correlation", "--ratio-counts", "0:1", capsys=capsys)
+        assert code == 0
+        assert "E = 1\n" in out.out
 
     @pytest.mark.parametrize(
         "rate, window, field",

@@ -1,7 +1,9 @@
-"""numpy is imported only where there are arrays.
+"""numpy is imported only where there are arrays, and dataclasses not at all.
 
-`check`, the approx and count-ratio forms of `correlation` and `quantum` run
-on plain floats, so a fresh interpreter running them never imports numpy.
+`check`, the approx and count-ratio forms of `correlation`, `quantum` and the
+batch LHV masks run on plain floats, so a fresh interpreter running them never
+imports numpy.  The records are named tuples, so none of these statements
+imports dataclasses either.
 """
 
 import subprocess
@@ -26,15 +28,21 @@ def cli_call(*argv: str) -> str:
         cli_call("correlation", "--d", "0.5", "--dark-rate", "300", "--window", "2e-9", "--json"),
         cli_call("correlation", "--ratio-counts", "1:12"),
         cli_call("quantum", "XXX"),
+        "from ghzdet import lhv\n"
+        "tetrads = [(1.0, 1.0, 1.0, -1.0), (0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)]\n"
+        "assert lhv.feasible_mask_oracle(tetrads) == [False, True, True]\n"
+        "assert lhv.feasible_mask_inequalities(tetrads) == [False, True, True]",
     ],
     ids=["import", "check-json", "check-feasible", "correlation-rates",
-         "correlation-ratio-counts", "quantum"],
+         "correlation-ratio-counts", "quantum", "batch-masks"],
 )
 def test_numpy_not_imported(statement):
-    script = f"import sys\n{statement}\nsys.exit(3 if 'numpy' in sys.modules else 0)"
+    script = (f"import sys\n{statement}\n"
+              "sys.exit(3 if 'numpy' in sys.modules else 4 if 'dataclasses' in sys.modules else 0)")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, f"numpy imported (exit {proc.returncode}): {proc.stderr}"
+    imported = {3: "numpy", 4: "dataclasses"}.get(proc.returncode, "?")
+    assert proc.returncode == 0, f"{imported} imported (exit {proc.returncode}): {proc.stderr}"
 
 
 @pytest.mark.parametrize("name", ["RunConfig", "RunStats", "compare_analytic", "run"])

@@ -46,6 +46,38 @@ def enumeration_mask(tetrads: np.ndarray) -> np.ndarray:
     return (solutions >= -lhv.SIMPLEX_TOL).all(axis=2).any(axis=1)
 
 
+# Moment vectors (E_A, E_B, E_C, E_ABC) of the atoms abc, ab'c, abc', ab'c'.
+HADAMARD_ROWS = np.array([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)])
+
+
+def cross_polytope_mask(tetrads: np.ndarray) -> np.ndarray:
+    """Reference decision sum_i |x . h_i| <= 4, the polytope's other description.
+
+    It rounds differently from the four inequalities, so it can disagree within
+    a few ulp of a facet; away from the facets it must agree.
+    """
+    return np.abs(np.asarray(tetrads, dtype=float) @ HADAMARD_ROWS.T).sum(axis=1) <= 4.0
+
+
+def facet_adjacent_tetrads(n: int, seed: int) -> list[tuple[float, float, float, float]]:
+    """Tetrads within 2 ulp of a facet: E_ABC is solved from one of the eight
+    one-sided equalities sigma . x = ±2 and moved by -2..2 ulp."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        e_a, e_b, e_c = rng.uniform(-1.0, 1.0, size=3).tolist()
+        signs = lhv.INEQUALITY_SIGNS[int(rng.integers(4))]
+        bound = 2.0 if rng.integers(2) else -2.0
+        e_abc = (bound - signs[0] * e_a - signs[1] * e_b - signs[2] * e_c) / signs[3]
+        if not -1.0 <= e_abc <= 1.0:
+            continue
+        steps = int(rng.integers(-2, 3))
+        for _ in range(abs(steps)):
+            e_abc = math.nextafter(e_abc, math.copysign(math.inf, steps))
+        out.append((e_a, e_b, e_c, min(1.0, max(-1.0, e_abc))))
+    return out
+
+
 def acceptance_tetrads() -> np.ndarray:
     """The 9^4 grid, 10,000 uniform draws and the eroded line eps = k/256."""
     axis = np.linspace(-1.0, 1.0, 9)
@@ -136,9 +168,26 @@ class TestFeasibleOracle:
     def test_agrees_with_inequalities_on_random_tetrads(self):
         rng = np.random.default_rng(20260825)
         tetrads = rng.uniform(-1.0, 1.0, size=(2000, 4))
-        by_ineq = lhv.feasible_mask_inequalities(tetrads)
-        by_oracle = lhv.feasible_mask_oracle(tetrads)
-        assert np.array_equal(by_ineq, by_oracle)
+        reference = cross_polytope_mask(tetrads).tolist()
+        assert lhv.feasible_mask_inequalities(tetrads) == reference
+        assert lhv.feasible_mask_oracle(tetrads) == reference
+
+    def test_masks_reject_tetrads_outside_the_cube(self):
+        # Inside the inequalities but outside [-1, 1]^4: no model has a mean of 1.5.
+        tetrads = [(1.5, 0.5, 0.0, 0.0), (0.0, -1.25, 0.0, 0.75), (math.nan, 0.0, 0.0, 0.0),
+                   (1.0, 0.0, 0.0, 0.0)]
+        assert cross_polytope_mask(tetrads).tolist() == [False, False, False, True]
+        assert lhv.feasible_mask_oracle(tetrads) == [False, False, False, True]
+        assert lhv.feasible_mask_inequalities(tetrads) == [False, False, False, True]
+
+    def test_masks_are_the_scalar_decision_next_to_a_facet(self):
+        tetrads = facet_adjacent_tetrads(20_000, seed=20261018)
+        decided = [feasible_oracle(CorrelationSet(*t)) is not None for t in tetrads]
+        assert 0 < sum(decided) < len(tetrads)
+        assert decided == [check_inequalities(CorrelationSet(*t)).feasible for t in tetrads]
+        for mask in (lhv.feasible_mask_oracle(tetrads), lhv.feasible_mask_inequalities(tetrads)):
+            assert sum(bool(got) != want for got, want in zip(mask, decided)) == 0
+            assert type(mask) is list
 
     def test_witness_reproduces_the_query(self):
         rng = np.random.default_rng(7)
@@ -167,7 +216,7 @@ class TestFeasibleOracle:
         decided = np.array([check_inequalities(CorrelationSet(*t)).feasible for t in tetrads])
         for mask in (decided, lhv.feasible_mask_oracle(tetrads),
                      lhv.feasible_mask_inequalities(tetrads)):
-            assert int(np.sum(mask != reference)) == 0
+            assert int(np.sum(np.array(mask) != reference)) == 0
         for t in tetrads[reference]:
             witness = feasible_oracle(CorrelationSet(*t))
             assert abs(sum(witness.probs) - 1.0) <= lhv.SIMPLEX_TOL
