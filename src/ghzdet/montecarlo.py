@@ -195,7 +195,9 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
 
     The analytic correlation is the exact-mode corrected correlation times the
     ideal product expectation of the chosen setting (±1 for the four standard
-    settings, 0 otherwise).
+    settings, 0 otherwise).  z_correlation divides by the model's standard
+    error sqrt(1 - E^2) / sqrt(n_fourfold), not the empirical one, whose
+    spread is heavy-tailed when few minority products are expected.
     """
     ideal = quantum.operator_expectation(ghz_state(), setting)
     try:
@@ -216,11 +218,13 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
             z_fourfold=z_fourfold,
             flagged=abs(z_fourfold) > Z_FLAG_THRESHOLD,
         )
-    se = stats.std_err if stats.std_err and stats.std_err > 0.0 else None
-    if se is None:
-        # Degenerate spread (|e_hat| = 1): fall back to the analytic sigma.
-        se = detector.sigma_of_correlation(analytic_e) / math.sqrt(stats.n_fourfold)
-    z_corr = (stats.e_hat - analytic_e) / se if se > 0.0 else 0.0
+    se = detector.sigma_of_correlation(analytic_e) / math.sqrt(stats.n_fourfold)
+    if se > 0.0:
+        z_corr = (stats.e_hat - analytic_e) / se
+    elif stats.e_hat == analytic_e:  # |E| = 1 and every product was E
+        z_corr = 0.0
+    else:  # |E| = 1 allows no other product
+        z_corr = math.copysign(math.inf, stats.e_hat - analytic_e)
     flagged = abs(z_corr) > Z_FLAG_THRESHOLD or abs(z_fourfold) > Z_FLAG_THRESHOLD
     return ComparisonReport(
         comparable=True,

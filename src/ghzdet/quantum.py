@@ -44,6 +44,10 @@ class GHZState(namedtuple("GHZState", "visibility")):
             raise ValueError(f"visibility={visibility} outside [-1, 1]")
         return super().__new__(cls, visibility)
 
+    @classmethod
+    def _make(cls, iterable):  # checked, and so is _replace, which calls it
+        return cls(*iterable)
+
 
 def validate_setting(setting: str) -> str:
     setting = setting.upper()

@@ -96,6 +96,13 @@ class TestCorrelation:
         assert out.out == ""
         assert "--ratio-counts" in out.err
 
+    @pytest.mark.parametrize("e_ghz", ["5", "nan"])
+    def test_ratio_counts_checks_e_ghz(self, capsys, e_ghz):
+        code, out = run_cli("correlation", "--ratio-counts", "1:12", "--e-ghz", e_ghz,
+                            capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: e_ghz={float(e_ghz)} outside [-1, 1]\n"
+
     def test_no_background_counts_gives_one(self, capsys):
         code, out = run_cli("correlation", "--ratio-counts", "0:1", capsys=capsys)
         assert code == 0
@@ -136,6 +143,36 @@ class TestSweep:
         rows = out_path.read_text().splitlines()[1:]
         assert rows == expected
         assert {row.rsplit(",", 1)[1] for row in rows} >= {"nan", "inf"}
+
+    def test_csv_equals_the_per_cell_reference(self, tmp_path, capsys):
+        # One f-string per cell, from the same arrays, is the reference for the
+        # whole file.  The grid holds nan separations (E <= 0.5 at gamma =
+        # 1e-3), a saturated one (inf at gamma = 1e-12, d = 0.9) and the contour.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-12", "--gamma-max", "1e-3", "--gamma-steps", "7",
+            "--d-min", "0.1", "--d-max", "0.9", "--d-steps", "5", "--ratio", "1e10",
+            "--contour", "0.92", "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 0
+        gammas = np.geomspace(1e-12, 1e-3, 7)
+        ds = np.linspace(0.1, 0.9, 5)
+        grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
+        params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, 1e10)
+        e = detector.corrected_correlation(params)
+        sigma, sep = detector.sigma_of_correlation(e), detector.sigma_separation(e)
+        lines = ["gamma,d,E,sigma,separation"]
+        for i, gamma in enumerate(gammas):
+            for j, d in enumerate(ds):
+                cell = (e[i, j], sigma[i, j], sep[i, j])
+                lines.append(f"{gamma:.12g},{d:.12g},{cell[0]:.12g},{cell[1]:.12g},{cell[2]:.12g}")
+        lines += ["# contour E=0.92", "d,gamma"]
+        lines += [f"{d:.12g},{detector.find_gamma_for_correlation(float(d), 1e10, 0.92):.12g}"
+                  for d in ds]
+        text = out_path.read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert lines[5].startswith("1e-12,0.9,") and lines[5].endswith(",inf")
+        assert lines[35].startswith("0.001,") and lines[35].endswith(",nan")
 
     def test_row_count_and_header(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

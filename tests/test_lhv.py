@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -88,6 +90,41 @@ def acceptance_tetrads() -> np.ndarray:
     return np.vstack([grid, draws, line])
 
 
+def sum_left_to_right(values) -> float:
+    """sum() of floats as it was before Python 3.12: added left to right from 0."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def reference_slacks(c: CorrelationSet) -> tuple[float, ...]:
+    """The slacks as check_inequalities computed them with a sum() loop."""
+    slacks = []
+    for row in lhv.INEQUALITY_SIGNS:
+        v = sum_left_to_right(map(operator.mul, row, c))
+        slacks.append(v + 2.0)
+        slacks.append(2.0 - v)
+    return tuple(slacks)
+
+
+def reference_witness(c: CorrelationSet) -> tuple[float, ...]:
+    """The witness's atoms as _witness computed them with sum() and max()."""
+    e_a, e_b, e_c, e_abc = c
+    lam = (
+        (e_a + e_b + e_c + e_abc) / 4.0,
+        (e_a - e_b + e_c - e_abc) / 4.0,
+        (e_a + e_b - e_c - e_abc) / 4.0,
+        (e_a - e_b - e_c + e_abc) / 4.0,
+    )
+    share = max(0.0, 1.0 - sum_left_to_right(map(abs, lam))) / 8.0
+    probs = [max(v, 0.0) + share for v in lam] + [max(-v, 0.0) + share for v in reversed(lam)]
+    total = sum_left_to_right(probs)
+    return tuple(p / total for p in probs)
+
+
+def bits(values) -> list[str]:
+    """Exact float bits, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
 def witness_moments(witness: JointDistribution8) -> list[float]:
     """(E_A, E_B, E_C, E_ABC) of a witness, summed exactly atom by atom."""
     atoms = [(a, b, c, a * b * c) for a, b, c in lhv.ATOM_SIGNS]
@@ -119,6 +156,24 @@ class TestCorrelationSet:
         with pytest.raises(ValueError):
             CorrelationSet(bad, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)])
+    @pytest.mark.parametrize("position", range(4))
+    def test_message_names_the_first_bad_field(self, bad, position):
+        values = [0.25, -1.0, 1.0, -0.0]
+        values[position] = bad
+        if position < 3:
+            values[3] = 5.0  # a later bad field is not the one named
+        name = CorrelationSet._fields[position]
+        with pytest.raises(ValueError, match=f"^{name}={bad!r} outside \\[-1, 1\\]$"):
+            CorrelationSet(*values)
+
+    def test_accepts_the_closed_cube(self):
+        values = (math.nextafter(1.0, 0.0), 1.0, -1.0, -0.0)
+        c = CorrelationSet(*values)
+        assert bits(c) == bits(values)
+        assert type(c) is CorrelationSet
+
 
 class TestCheckInequalities:
     def test_ghz_contradiction(self):
@@ -142,6 +197,36 @@ class TestCheckInequalities:
     def test_feasible_iff_all_slacks_nonnegative(self, c):
         report = check_inequalities(c)
         assert report.feasible == all(s >= 0.0 for s in report.slacks)
+
+    def test_one_decision_with_a_compensated_sum(self, monkeypatch):
+        # From Python 3.12 sum() of floats is compensated; math.fsum, correctly
+        # rounded, stands in for it here on any Python.  The decision must not
+        # depend on it.
+        monkeypatch.setattr(lhv, "sum", math.fsum, raising=False)
+        tetrads = facet_adjacent_tetrads(20_000, seed=20261019)
+        checked = [check_inequalities(CorrelationSet(*t)).feasible for t in tetrads]
+        assert 0 < sum(checked) < len(tetrads)
+        assert checked == [feasible_oracle(CorrelationSet(*t)) is not None for t in tetrads]
+        assert checked == lhv.feasible_mask_oracle(tetrads)
+        assert checked == lhv.feasible_mask_inequalities(tetrads)
+
+    def test_same_bits_as_the_sum_loop(self):
+        # The written-out sums round as the former sum() loop did on Python
+        # 3.11, and the unrolled witness as the former one.
+        values = (0.0, -0.0, 0.5, -0.5, 1 / 3, -1 / 3, 1.0, -1.0)
+        uniform = np.random.default_rng(20261020).uniform(-1.0, 1.0, size=(20_000, 4)).tolist()
+        cases = (list(itertools.product(values, repeat=4))
+                 + facet_adjacent_tetrads(20_000, seed=20261021) + uniform)
+        feasible = 0
+        for t in cases:
+            c = CorrelationSet(*t)
+            report = check_inequalities(c)
+            assert bits(report.slacks) == bits(reference_slacks(c)), t
+            assert bits([report.f_value]) == bits([mermin_f(c)]), t
+            if report.feasible:
+                feasible += 1
+                assert bits(lhv._witness(c).probs) == bits(reference_witness(c)), t
+        assert 0 < feasible < len(cases)
 
 
 class TestFeasibleOracle:

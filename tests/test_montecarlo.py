@@ -219,6 +219,32 @@ class TestCompareAnalytic:
         assert abs(report.z_correlation) < 4
         assert not report.flagged
 
+    # d = 1 and gamma = 0 with only double pairs: every window is a correlated
+    # fourfold, so the analytic E is e_ghz exactly (times the setting's sign).
+    @staticmethod
+    def hand_built(e_hat, n4=100):
+        return mc.RunStats(n_trials=n4, n_fourfold=n4, n_ghz_fourfold=n4, e_hat=e_hat,
+                           std_err=det.sigma_of_correlation(e_hat) / math.sqrt(n4), p4_hat=1.0)
+
+    def test_z_uses_the_model_standard_error(self):
+        # With the empirical error sqrt(1 - 0.98^2)/10 = 0.0199 this is z = 4.02
+        # and flagged; the model's sqrt(1 - 0.9^2)/10 = 0.0436 gives z = 1.84.
+        report = compare_analytic(self.hand_built(0.98), DetectorParams(1.0, 0.0, 0.0, 1.0, 0.9))
+        assert report.analytic_e == 0.9
+        assert report.z_correlation == pytest.approx(0.08 / math.sqrt(0.19 / 100), rel=1e-12)
+        assert not report.flagged
+
+    @pytest.mark.parametrize("setting, e_hat, z", [
+        ("XYY", 1.0, 0.0), ("XXX", -1.0, 0.0), ("XYY", 0.98, -math.inf), ("XXX", -0.98, math.inf),
+    ])
+    def test_perfect_model_correlation(self, setting, e_hat, z):
+        # |E| = 1 has no spread: e_hat = E gives z = 0, anything else is flagged.
+        report = compare_analytic(self.hand_built(e_hat), DetectorParams(1.0, 0.0, 0.0, 1.0),
+                                  setting)
+        assert abs(report.analytic_e) == 1.0
+        assert report.z_correlation == z
+        assert report.flagged == (z != 0.0)
+
     def test_sign_follows_setting(self):
         cfg = scaled_config(setting="XXX", n_trials=2_000_000)
         stats = run(cfg)

@@ -52,3 +52,18 @@ def test_record_semantics(cls, fields, values, defaults, bad, message):
     assert twin == record and hash(twin) == hash(record)
     assert repr(record).startswith(f"{cls.__name__}(")
     assert all(f"{name}=" in repr(record) for name in fields)
+
+
+CHECKED = [r for r in RECORDS if r[4] is not None]
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults, bad, message", CHECKED,
+                         ids=[r[0].__name__ for r in CHECKED])
+def test_make_and_replace_are_checked(cls, fields, values, defaults, bad, message):
+    record = cls(*values)
+    assert cls._make(record) == record and type(cls._make(record)) is cls
+    assert record._replace() == record and type(record._replace()) is cls
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls._make(dict(zip(fields, record), **bad).values())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record._replace(**bad)
