@@ -105,7 +105,7 @@ def _resolve_gamma(args: argparse.Namespace) -> Optional[float]:
 
 def _correlation_payload(e: float) -> dict:
     sigma = detector.sigma_of_correlation(e)
-    if e > 0.5:
+    if e > detector.LHV_BOUND:
         separation = detector.sigma_separation(e)
     else:
         separation = float("nan")
@@ -146,8 +146,11 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.gamma_steps < 2 or args.d_steps < 2:
         raise ValueError("step counts must be >= 2")
-    if args.contour is not None and args.mode != "approx":
-        raise ValueError("--contour inverts only the approx model; use --mode approx")
+    if args.contour is not None:
+        if args.mode != "approx":
+            raise ValueError("--contour inverts only the approx model; use --mode approx")
+        if not 0.0 < args.contour <= args.e_ghz:
+            raise ValueError(f"--contour {args.contour} is outside (0, --e-ghz {args.e_ghz}]")
     if not 0.0 < args.gamma_min <= args.gamma_max <= 1.0:
         raise ValueError("gamma bounds must satisfy 0 < min <= max <= 1")
     if not 0.0 < args.d_min <= args.d_max <= 1.0:
@@ -197,12 +200,13 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _config_tokens(path: str) -> list[str]:
+    """The file's key=value lines as --key=value flags for the simulate parser."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    values = {}
+    tokens = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -213,46 +217,25 @@ def _load_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
 def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     from . import montecarlo
 
-    cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return None
-
-    d = pick(args.d, "d", float)
-    gamma = pick(args.gamma, "gamma", float)
-    pair = pick(args.pair, "pair", float)
-    twopair = pick(args.twopair, "twopair", float)
-    ratio = pick(args.ratio, "ratio", float)
-    e_ghz = pick(args.e_ghz, "e-ghz", float)
-    setting = pick(args.setting, "setting", str)
-    trials = pick(args.trials, "trials", int)
-    seed = pick(args.seed, "seed", int)
-    workers = pick(args.workers, "workers", int)
-
-    if d is None or gamma is None:
+    if args.d is None or args.gamma is None:
         raise ValueError("simulate requires d and gamma")
-    if trials is None:
+    if args.trials is None:
         raise ValueError("simulate requires the number of trials")
-    if seed is None:
+    if args.seed is None:
         raise ValueError("simulate requires an explicit seed (no time-based seeding)")
-    if setting is None:
-        setting = "XYY"
-    if e_ghz is None:
-        e_ghz = 1.0
 
-    if ratio is not None:
-        params = detector.DetectorParams.from_ratio(d, gamma, ratio, e_ghz)
+    pair, twopair = args.pair, args.twopair
+    if args.ratio is not None:
+        if pair is not None or twopair is not None:
+            raise ValueError("give --ratio or --pair/--twopair, not both")
+        params = detector.DetectorParams.from_ratio(args.d, args.gamma, args.ratio, args.e_ghz)
     else:
         if pair is None and twopair is None:
             raise ValueError("simulate requires --pair, --twopair, or --ratio")
@@ -260,14 +243,14 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
             pair = 1.0 - twopair
         if twopair is None:
             twopair = 1.0 - pair
-        params = detector.DetectorParams(d, gamma, pair, twopair, e_ghz)
+        params = detector.DetectorParams(args.d, args.gamma, pair, twopair, args.e_ghz)
 
     return montecarlo.RunConfig(
         params=params,
-        setting=quantum.validate_setting(setting),
-        n_trials=trials,
-        master_seed=seed,
-        n_workers=workers if workers is not None else 1,
+        setting=quantum.validate_setting(args.setting),
+        n_trials=args.trials,
+        master_seed=args.seed,
+        n_workers=args.workers,
     )
 
 
@@ -400,17 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="seeded coincidence simulation")
-    p.add_argument("--config", help="key=value file; flags override it")
+    p.add_argument(
+        "--config",
+        help="file of key=value lines (e.g. e-ghz=0.5), parsed and checked as the "
+        "flags --d to --workers; flags on the command line override them",
+    )
     p.add_argument("--d", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--pair", type=float, help="single-pair creation probability")
     p.add_argument("--twopair", type=float, help="two-pair creation probability")
-    p.add_argument("--ratio", type=float, help="pair-to-two-pair ratio (alternative)")
-    p.add_argument("--e-ghz", type=float)
-    p.add_argument("--setting")
+    p.add_argument("--ratio", type=float, help="pair-to-two-pair ratio, instead of --pair/--twopair")
+    p.add_argument("--e-ghz", type=float, default=1.0)
+    p.add_argument("--setting", default="XYY")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--events", help="write one line per fourfold coincidence to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -425,8 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.command == "simulate" and args.config:
+            # The file's lines go in as flags ahead of the command line, so the
+            # parser types them and a command-line flag, parsed later, wins.
+            at = argv.index("simulate") + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

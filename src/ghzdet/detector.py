@@ -53,6 +53,8 @@ ARRIVAL_COUNTS = (
     (2, 0, 0, 0),
 )
 
+# The local-hidden-variable limit on E that the separation is measured from.
+LHV_BOUND = 0.5
 SEPARATION_CAP = 1e6
 GAMMA_MAX = 1e-3
 PROB_TOL = 1e-12
@@ -236,25 +238,25 @@ def sigma_of_correlation(e: float) -> float:
     return variance ** 0.5  # variance >= 0, since |E| <= 1
 
 
-def sigma_separation(e: float, boundary: float = 0.5) -> float:
-    """(E - boundary) / sigma(E): standard deviations above the classical limit.
+def sigma_separation(e: float) -> float:
+    """(E - LHV_BOUND) / sigma(E): standard deviations above the classical limit.
 
     Returns inf once the separation exceeds SEPARATION_CAP (sigma -> 0 as
-    E -> 1, so the ratio saturates).  A float E must exceed the boundary; an
+    E -> 1, so the ratio saturates).  A float E must exceed LHV_BOUND; an
     array E gives nan in the cells that do not.
     """
     sigma = sigma_of_correlation(e)
     if not hasattr(e, "shape"):
-        if e <= boundary:
-            raise ValueError(f"correlation {e} does not exceed the boundary {boundary}")
-        separation = (e - boundary) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at E = 1
+        if e <= LHV_BOUND:
+            raise ValueError(f"correlation {e} does not exceed the boundary {LHV_BOUND}")
+        separation = (e - LHV_BOUND) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at E = 1
         return separation if separation <= SEPARATION_CAP else math.inf
     import numpy as np
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        separation = np.divide(e - boundary, sigma)  # inf at sigma = 0, E = 1
+        separation = np.divide(e - LHV_BOUND, sigma)  # inf at sigma = 0, E = 1
     separation = np.where(separation <= SEPARATION_CAP, separation, np.inf)
-    return np.where(e > boundary, separation, np.nan)
+    return np.where(e > LHV_BOUND, separation, np.nan)
 
 
 def find_gamma_for_correlation(

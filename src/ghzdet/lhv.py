@@ -81,10 +81,11 @@ class JointDistribution8(namedtuple("JointDistribution8", "probs")):
     def __new__(cls, probs: tuple[float, ...]):
         if len(probs) != 8:
             raise ValueError("expected 8 atom probabilities")
-        if min(probs) < 0.0:
-            raise ValueError("negative atom probability")
+        # Negated comparisons, so that a NaN fails them too.
+        if not min(probs) >= 0.0:
+            raise ValueError(f"atom probability {min(probs)} is not >= 0")
         total = sum(probs)
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
         return tuple.__new__(cls, (probs,))
 

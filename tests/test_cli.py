@@ -213,6 +213,29 @@ class TestSweep:
         assert "approx" in out.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("level", ["nan", "5", "-1", "0"])
+    def test_impossible_contour_level_rejected(self, tmp_path, capsys, level):
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli(
+            "sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
+            "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10",
+            "--contour", level, "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 2
+        assert "--contour" in out.err
+        assert not out_path.exists()
+
+    def test_unreached_contour_level_gives_empty_block(self, tmp_path, capsys):
+        # E = 1e-9 needs gamma far above GAMMA_MAX in every column.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
+            "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10",
+            "--contour", "1e-9", "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 0
+        assert out_path.read_text().endswith("# contour E=1e-09\nd,gamma\n")
+
     def test_monotone_in_gamma_at_fixed_d(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         run_cli(
@@ -288,6 +311,62 @@ class TestSimulate:
             capsys=capsys,
         )
         assert json.loads(out.out)["e_hat"] == 1.0
+
+    @pytest.mark.parametrize("line, flag", [("trials=1e6", "--trials"), ("d=abc", "--d")])
+    def test_config_type_error_names_the_flag(self, tmp_path, capsys, line, flag):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"d=0.5\ngamma=1e-2\npair=0.99\ntrials=1000\nseed=1\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_config_value_beats_parser_default(self, tmp_path, capsys):
+        flags = ("--d", "0.5", "--gamma", "1e-2", "--pair", "0.99", "--trials", "1000",
+                 "--seed", "1", "--json")
+        _, out = run_cli("simulate", *flags, capsys=capsys)
+        full = json.loads(out.out)["analytic_e"]
+        config = tmp_path / "run.cfg"
+        config.write_text("e-ghz=0.5\n")
+        code, out = run_cli("simulate", "--config", str(config), *flags, capsys=capsys)
+        assert code == 0
+        assert json.loads(out.out)["analytic_e"] == full / 2
+
+    def test_seed_flag_beats_config_seed(self, tmp_path, capsys):
+        flags = ("--d", "0.5", "--gamma", "0.05", "--pair", "0.5", "--trials", "2000", "--json")
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=4\n")
+        _, from_flag = run_cli("simulate", *flags, "--seed", "5", capsys=capsys)
+        _, overridden = run_cli(
+            "simulate", "--config", str(config), *flags, "--seed", "5", capsys=capsys
+        )
+        _, from_file = run_cli("simulate", "--config", str(config), *flags, capsys=capsys)
+        assert overridden.out == from_flag.out
+        assert overridden.out != from_file.out
+
+    def test_config_file_and_flags_print_identical_json(self, tmp_path, capsys):
+        values = {"d": "0.7", "gamma": "0.03", "pair": "0.6", "twopair": "0.4", "e-ghz": "0.9",
+                  "setting": "XXX", "trials": "3000", "seed": "11", "workers": "2"}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        flags = [token for k, v in values.items() for token in (f"--{k}", v)]
+        _, from_flags = run_cli("simulate", *flags, "--json", capsys=capsys)
+        code, from_file = run_cli("simulate", "--config", str(config), "--json", capsys=capsys)
+        assert code == 0
+        assert from_file.out == from_flags.out
+
+    @pytest.mark.parametrize("flag", ["--pair", "--twopair"])
+    def test_ratio_excludes_pair_flags(self, tmp_path, capsys, flag):
+        flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")
+        code, out = run_cli("simulate", *flags, "--ratio", "99", flag, "0.5", capsys=capsys)
+        assert code == 2
+        assert "--ratio" in out.err and flag in out.err
+        config = tmp_path / "run.cfg"
+        config.write_text("ratio=99\n")
+        code, out = run_cli("simulate", "--config", str(config), *flags, flag, "0.5",
+                            capsys=capsys)
+        assert code == 2
+        assert "--ratio" in out.err and flag in out.err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

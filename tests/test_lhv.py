@@ -375,6 +375,14 @@ class TestExpectationsFromJoint:
         with pytest.raises(ValueError):
             JointDistribution8((0.125,) * 7)
 
+    @pytest.mark.parametrize("position", [0, 2, 7])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_atoms(self, position, bad):
+        probs = [0.5, 0.5, 0, 0, 0, 0, 0, 0]
+        probs[position] = bad
+        with pytest.raises(ValueError):
+            JointDistribution8(tuple(probs))
+
 
 class TestEpsilonThreshold:
     @pytest.mark.parametrize(
