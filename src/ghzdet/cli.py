@@ -3,8 +3,8 @@ parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
 Numbers are printed with 12 significant digits.  numpy is imported only where
-arrays are built (sweep, simulate, construct-joint and the exact correlation),
-so check, quantum and the approx or count-ratio correlation start without it.
+arrays are built (sweep and simulate), so check, construct-joint, quantum and
+correlation in every mode start without it.
 """
 
 from __future__ import annotations

@@ -25,10 +25,9 @@ with every check applied to every cell.  ``ghzdet sweep`` works this way.
 Integer powers are written as products, which round the same for floats and
 arrays.  Anything with a ``shape`` counts as an array.
 
-Floats need no numpy: the approx mode, sigma and the separation are plain
-Python on floats.  numpy is imported inside the array path of
-sigma_separation and in pair_fourfold_probability, whose log1p/expm1 the
-exact mode calls for floats too, so that a float and a grid cell round alike.
+Floats need no numpy: both correlation modes, sigma and the separation are
+plain Python on floats, and a float rounds exactly as its grid cell does.
+numpy is imported only in the array branch of sigma_separation.
 """
 
 from __future__ import annotations
@@ -157,17 +156,16 @@ def pair_fourfold_probability(d: float, gamma: float) -> float:
 
     A channel with photon counts (t, d1, d2, d3) at (T, D1, D2, D3) fires all
     four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
-    of the other channels, so the union is 1 - prod(1 - q).  It is taken in
-    logs: with q ~ gamma^2 the plain product rounds 1 - q to 1.
+    of the other channels, so the union is 1 - prod(1 - q).  It is built by
+    u <- u + q (1 - u) from u = 0, since 1 - u then stays prod(1 - q): every
+    term is nonnegative, so nothing cancels where q ~ gamma^2, as it would in
+    1 - prod(1 - q) taken literally.
     """
-    import numpy as np
-
     fire = fire_probabilities(d, gamma)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a certain channel
-        log_miss = sum(np.log1p(-(fire[t] * fire[d1] * fire[d2] * fire[d3]))
-                       for t, d1, d2, d3 in ARRIVAL_COUNTS)
-    union = -np.expm1(log_miss)
-    return union if isinstance(union, np.ndarray) else float(union)
+    union = 0.0
+    for t, d1, d2, d3 in ARRIVAL_COUNTS:
+        union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - union)
+    return union
 
 
 def signal_probability(params: DetectorParams) -> float:
@@ -216,26 +214,17 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
 
 def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
     """Correlation implied by an observed background-to-signal count ratio r."""
-    if r < 0.0:
-        raise ValueError(f"count ratio {r} must be >= 0")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"count ratio={r} must be finite and >= 0")
     _check_e_ghz(e_ghz)
     return e_ghz / (1.0 + r)
 
 
-def product_prob_plus(e: float) -> float:
-    """P(S1 S2 S3 = +1) = (1 + E)/2 for a ±1 product with mean E."""
-    if not _holds((-1.0 <= e) & (e <= 1.0)):
-        raise ValueError(f"correlation {e} outside [-1, 1]")
-    return (1.0 + e) / 2.0
-
-
 def sigma_of_correlation(e: float) -> float:
     """Standard deviation sqrt(1 - E^2) of a ±1 variable with mean E."""
-    variance = 1.0 - e * e
-    p_plus = product_prob_plus(e)  # also validates the range
-    bernoulli_form = 4.0 * p_plus * (1.0 - p_plus)
-    assert _holds(abs(variance - bernoulli_form) < 1e-12), (variance, bernoulli_form)
-    return variance ** 0.5  # variance >= 0, since |E| <= 1
+    if not _holds((-1.0 <= e) & (e <= 1.0)):  # negated, so that a NaN fails it
+        raise ValueError(f"correlation {e} outside [-1, 1]")
+    return (1.0 - e * e) ** 0.5
 
 
 def sigma_separation(e: float) -> float:

@@ -11,20 +11,16 @@ signs).  They decide feasibility, and every feasible tetrad gets a closed-form
 witness.  The tests check both against an enumeration of the basic square
 subsystems of the moment equations.
 
-The decisions run on plain floats, and the batch masks take any sequence of
-tetrads and return a list.  numpy is imported only inside
-``JointDistribution8.as_array`` and ``expectations_from_joint``.  The records
-are immutable named tuples, checked when they are made, also by ``_make`` and
-``_replace``.
+Everything runs on plain floats, with no numpy: the batch masks take any
+sequence of tetrads and return a list.  The records are immutable named
+tuples, checked when they are made, also by ``_make`` and ``_replace``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Optional, Sequence
 
 SIMPLEX_TOL = 1e-12
 
@@ -92,11 +88,6 @@ class JointDistribution8(namedtuple("JointDistribution8", "probs")):
     @classmethod
     def _make(cls, iterable):  # checked, and so is _replace, which calls it
         return cls(*iterable)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.probs, dtype=float)
 
 
 class SymmetricParams(namedtuple("SymmetricParams", "p q")):
@@ -221,15 +212,18 @@ feasible_mask_oracle = feasible_mask_inequalities
 
 
 def expectations_from_joint(j: JointDistribution8) -> CorrelationSet:
-    """Recover (E_A, E_B, E_C, E_ABC) by signed atom sums."""
-    import numpy as np
+    """Recover (E_A, E_B, E_C, E_ABC) by signed atom sums.
 
-    p = j.as_array()
-    signs = np.array(ATOM_SIGNS)
-    e_a, e_b, e_c = signs.T @ p
-    e_abc = np.prod(signs, axis=1) @ p
-    clip = lambda v: float(min(1.0, max(-1.0, v)))
-    return CorrelationSet(clip(e_a), clip(e_b), clip(e_c), clip(e_abc))
+    math.fsum rounds each sum exactly once, so the result does not depend on
+    the order of the atoms; a sum may still exceed 1 by the simplex
+    tolerance, and is clipped.
+    """
+    def moment(signs: Iterable[float]) -> float:
+        return min(1.0, max(-1.0, math.fsum(s * p for s, p in zip(signs, j.probs))))
+
+    a, b, c = zip(*ATOM_SIGNS)
+    abc = [s_a * s_b * s_c for s_a, s_b, s_c in ATOM_SIGNS]
+    return CorrelationSet(moment(a), moment(b), moment(c), moment(abc))
 
 
 def construct_symmetric_joint(s: SymmetricParams) -> JointDistribution8:

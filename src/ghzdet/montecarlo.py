@@ -100,11 +100,8 @@ class _Counts:
     pair_by_channel: np.ndarray  # single-pair fourfolds per arrival channel
     twopair_dark: int  # double-pair fourfolds with a dark count in D1..D3
     ghz_outcomes: np.ndarray  # correlated quadruples per Born outcome index
+    n_uncorrelated: int  # pair_by_channel.sum() + twopair_dark
     uncorrelated_plus: int  # uncorrelated fourfolds with product +1
-
-    @property
-    def n_uncorrelated(self) -> int:
-        return int(self.pair_by_channel.sum()) + self.twopair_dark
 
 
 def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
@@ -134,7 +131,8 @@ def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
     born = quantum.outcome_probabilities(ghz_state(p.e_ghz), cfg.setting)
     ghz_outcomes = rng.multinomial(real, born)
     n_uncorrelated = int(pair_by_channel.sum() + dark)
-    return _Counts(pair_by_channel, int(dark), ghz_outcomes, int(rng.binomial(n_uncorrelated, 0.5)))
+    return _Counts(pair_by_channel, int(dark), ghz_outcomes, n_uncorrelated,
+                   int(rng.binomial(n_uncorrelated, 0.5)))
 
 
 def _stats(n_trials: int, counts: _Counts) -> RunStats:

@@ -63,6 +63,11 @@ def twopair(d, gamma):
     return DetectorParams(d, gamma, 0.0, 1.0)
 
 
+# A fixed grid with the corners (0, 1) and (1, 0) and the paper's (0.5, 6e-7).
+UNION_DS = (0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
+UNION_GAMMAS = (0.0, 1e-12, 1e-9, 6e-7, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0)
+
+
 class TestPairProbabilities:
     def test_distinct_vanishes_without_darks(self):
         assert channel_probabilities(0.7, 0.0)[0] == 0.0
@@ -102,6 +107,30 @@ class TestPairProbabilities:
         q_distinct, q_same = channel_probabilities(0.5, 6e-7)
         want = 6 * q_distinct + 4 * q_same
         assert det.pair_fourfold_probability(0.5, 6e-7) == pytest.approx(want, rel=1e-11, abs=0)
+
+    def test_union_matches_mpmath_reference(self):
+        # 1 - prod(1 - q) from the same float inputs, at 50 digits beyond the
+        # 48 that it cancels where q ~ gamma^4 = 1e-48 (d = 0, gamma = 1e-12).
+        # The bound allows about 18 roundings of 2^-53.
+        mpmath = pytest.importorskip("mpmath")
+        for d in UNION_DS:
+            for g in UNION_GAMMAS:
+                with mpmath.workdps(100):
+                    md, mg = mpmath.mpf(d), mpmath.mpf(g)
+                    fire = (mg, md + (1 - md) * mg, md * (1 - md) + (1 - md) ** 2 * mg)
+                    miss = mpmath.mpf(1)
+                    for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
+                        miss *= 1 - fire[t] * fire[d1] * fire[d2] * fire[d3]
+                    want = 1 - miss
+                got = det.pair_fourfold_probability(d, g)
+                assert abs(got - want) <= 4e-15 * want, (d, g, got, float(want))
+
+    def test_float_equals_its_grid_cell(self):
+        grid_g, grid_d = np.meshgrid(UNION_GAMMAS, UNION_DS, indexing="ij")
+        grid = det.pair_fourfold_probability(grid_d, grid_g)
+        for i, g in enumerate(UNION_GAMMAS):
+            for j, d in enumerate(UNION_DS):
+                assert det.pair_fourfold_probability(d, g) == grid[i, j], (d, g)
 
 
 class TestQuadrupleProbabilities:
@@ -220,24 +249,32 @@ class TestObservedRatio:
         assert det.correlation_from_ratio(0.0) == 1.0
         assert det.correlation_from_ratio(1.0) == 0.5
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative(self, r):
+        with pytest.raises(ValueError, match=f"count ratio={r} must be finite and >= 0"):
+            det.correlation_from_ratio(r)
+
 
 class TestSigma:
-    def test_product_prob(self):
-        assert det.product_prob_plus(1.0) == 1.0
-        assert det.product_prob_plus(-1.0) == 0.0
-        assert det.product_prob_plus(0.92) == pytest.approx(0.96)
-
     def test_sigma_values(self):
         assert det.sigma_of_correlation(0.92) == pytest.approx(0.392, abs=1e-3)
         assert det.sigma_of_correlation(1.0) == 0.0
         assert det.sigma_of_correlation(0.0) == 1.0
 
     def test_sigma_matches_bernoulli_variance(self):
+        # A ±1 product with mean E is +1 with probability p = (1 + E)/2, and
+        # its variance 1 - E^2 is the Bernoulli 4 p (1 - p).
         for e in np.linspace(-1.0, 1.0, 41):
-            p_plus = det.product_prob_plus(float(e))
+            p_plus = (1.0 + float(e)) / 2.0
             assert det.sigma_of_correlation(float(e)) ** 2 == pytest.approx(
                 4 * p_plus * (1 - p_plus), abs=1e-12
             )
+
+    @pytest.mark.parametrize("e", [math.nan, 1.0 + 2**-52, -1.5,
+                                   np.array([0.5, math.nan]), np.array([0.5, 1.5])])
+    def test_sigma_rejects_outside_the_unit_interval(self, e):
+        with pytest.raises(ValueError, match="outside \\[-1, 1\\]"):
+            det.sigma_of_correlation(e)
 
     def test_separation_reported_point(self):
         assert det.sigma_separation(0.92) == pytest.approx(1.07, abs=0.01)

@@ -1,6 +1,6 @@
 """numpy is imported only where there are arrays, and dataclasses not at all.
 
-`check`, the approx and count-ratio forms of `correlation`, `quantum` and the
+`check`, `construct-joint`, every form of `correlation`, `quantum` and the
 batch LHV masks run on plain floats, so a fresh interpreter running them never
 imports numpy.  The records are named tuples, so none of these statements
 imports dataclasses either.
@@ -25,16 +25,18 @@ def cli_call(*argv: str) -> str:
         "import ghzdet",
         cli_call("check", "1", "1", "1", "-1", "--json"),
         cli_call("check", "0.5", "0.5", "0.5", "-0.5"),
+        cli_call("construct-joint", "0.5", "0.5", "--json"),
         cli_call("correlation", "--d", "0.5", "--dark-rate", "300", "--window", "2e-9", "--json"),
         cli_call("correlation", "--ratio-counts", "1:12"),
+        cli_call("correlation", "--d", "0.5", "--gamma", "6e-7", "--mode", "exact", "--json"),
         cli_call("quantum", "XXX"),
         "from ghzdet import lhv\n"
         "tetrads = [(1.0, 1.0, 1.0, -1.0), (0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)]\n"
         "assert lhv.feasible_mask_oracle(tetrads) == [False, True, True]\n"
         "assert lhv.feasible_mask_inequalities(tetrads) == [False, True, True]",
     ],
-    ids=["import", "check-json", "check-feasible", "correlation-rates",
-         "correlation-ratio-counts", "quantum", "batch-masks"],
+    ids=["import", "check-json", "check-feasible", "construct-joint", "correlation-rates",
+         "correlation-ratio-counts", "correlation-exact", "quantum", "batch-masks"],
 )
 def test_numpy_not_imported(statement):
     script = (f"import sys\n{statement}\n"

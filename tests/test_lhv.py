@@ -369,6 +369,12 @@ class TestExpectationsFromJoint:
         j = JointDistribution8((0.125,) * 8)
         assert expectations_from_joint(j).as_tuple() == pytest.approx((0, 0, 0, 0))
 
+    def test_exact_zero_at_the_symmetric_centre(self):
+        # p = q = 1/2 puts 1/4 on abc and a'b'c' and 1/12 on the other six;
+        # each signed sum is rounded once, so the zero means come out exactly.
+        j = construct_symmetric_joint(SymmetricParams(0.5, 0.5))
+        assert expectations_from_joint(j).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+
     def test_rejects_bad_distributions(self):
         with pytest.raises(ValueError):
             JointDistribution8((0.5, 0.5, 0.5, -0.5, 0, 0, 0, 0))
