@@ -93,23 +93,18 @@ def _parse_ratio_counts(text: str) -> float:
     return r
 
 
-def _resolve_gamma(args: argparse.Namespace) -> Optional[float]:
+def _resolve_gamma(args: argparse.Namespace) -> float:
     if args.gamma is not None:
+        if args.dark_rate is not None or args.window is not None:
+            raise ValueError("give --gamma or --dark-rate/--window, not both")
         return args.gamma
-    if args.dark_rate is not None:
-        if args.window is None:
-            raise ValueError("--dark-rate requires --window")
-        return detector.gamma_from_rates(detector.RateSpec(args.dark_rate, args.window))
-    return None
-
-
-def _correlation_payload(e: float) -> dict:
-    sigma = detector.sigma_of_correlation(e)
-    if e > detector.LHV_BOUND:
-        separation = detector.sigma_separation(e)
-    else:
-        separation = float("nan")
-    return {"e": e, "sigma": sigma, "separation": separation}
+    if args.dark_rate is None:
+        if args.window is not None:
+            raise ValueError("--window requires --dark-rate")
+        raise ValueError("provide --gamma or --dark-rate/--window (or --ratio-counts)")
+    if args.window is None:
+        raise ValueError("--dark-rate requires --window")
+    return detector.gamma_from_rates(detector.RateSpec(args.dark_rate, args.window))
 
 
 def _print_correlation(payload: dict, as_json: bool) -> None:
@@ -129,15 +124,17 @@ def _print_correlation(payload: dict, as_json: bool) -> None:
 
 def cmd_correlation(args: argparse.Namespace) -> int:
     if args.ratio_counts is not None:
+        if any(v is not None for v in (args.gamma, args.dark_rate, args.window)):
+            raise ValueError("--ratio-counts takes no --gamma, --dark-rate or --window")
         r = _parse_ratio_counts(args.ratio_counts)
         e = detector.correlation_from_ratio(r, args.e_ghz)
     else:
         gamma = _resolve_gamma(args)
-        if gamma is None:
-            raise ValueError("provide --gamma or --dark-rate/--window (or --ratio-counts)")
         params = detector.DetectorParams.from_ratio(args.d, gamma, args.ratio, args.e_ghz)
         e = detector.corrected_correlation(params, mode=args.mode)
-    _print_correlation(_correlation_payload(e), args.json)
+    payload = {"e": e, "sigma": detector.sigma_of_correlation(e),
+               "separation": detector.sigma_separation(e)}
+    _print_correlation(payload, args.json)
     return EXIT_OK
 
 
@@ -162,7 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
     params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
     e = detector.corrected_correlation(params, mode=args.mode)
-    # (gamma, d, [E, sigma, separation]); separation is nan where E <= 0.5
+    # (gamma, d, [E, sigma, separation])
     cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
     d_text = [f"{d:.12g}" for d in ds]
     lines = ["gamma,d,E,sigma,separation"]
@@ -259,12 +256,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg = _build_run_config(args)
     if args.events:
-        try:
-            stream = open(args.events, "w")
+        try:  # open, every write and the final flush on close can fail
+            with open(args.events, "w") as stream:
+                stats = montecarlo.run(cfg, event_stream=stream)
         except OSError as exc:
             raise ValueError(f"cannot write {args.events}: {exc}") from exc
-        with stream:
-            stats = montecarlo.run(cfg, event_stream=stream)
     else:
         stats = montecarlo.run(cfg)
     report = montecarlo.compare_analytic(stats, cfg.params, cfg.setting)
@@ -299,8 +295,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"analytic E = {analytic_e}, analytic p4 = {fmt(report.analytic_p4)}")
     if report.comparable:
         print(f"z(correlation) = {fmt(report.z_correlation)}, z(fourfold rate) = {fmt(report.z_fourfold)}")
-    else:
+    elif stats.no_coincidences:
         print("comparison: not comparable (no coincidences)")
+    else:  # fourfolds, but no correlated quadruples or no way to register one
+        print(f"z(correlation) = n/a (model E undefined for this source), "
+              f"z(fourfold rate) = {fmt(report.z_fourfold)}")
     if report.flagged:
         print("WARNING: |z| above threshold, simulation disagrees with the model")
     return EXIT_OK

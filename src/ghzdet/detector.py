@@ -230,14 +230,14 @@ def sigma_of_correlation(e: float) -> float:
 def sigma_separation(e: float) -> float:
     """(E - LHV_BOUND) / sigma(E): standard deviations above the classical limit.
 
-    Returns inf once the separation exceeds SEPARATION_CAP (sigma -> 0 as
-    E -> 1, so the ratio saturates).  A float E must exceed LHV_BOUND; an
-    array E gives nan in the cells that do not.
+    nan where E does not exceed LHV_BOUND, and inf once the separation exceeds
+    SEPARATION_CAP (sigma -> 0 as E -> 1, so the ratio saturates).  A float E
+    and each cell of an array E follow this one rule.
     """
     sigma = sigma_of_correlation(e)
     if not hasattr(e, "shape"):
-        if e <= LHV_BOUND:
-            raise ValueError(f"correlation {e} does not exceed the boundary {LHV_BOUND}")
+        if not e > LHV_BOUND:
+            return math.nan
         separation = (e - LHV_BOUND) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at E = 1
         return separation if separation <= SEPARATION_CAP else math.inf
     import numpy as np

@@ -138,12 +138,12 @@ def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
 def _stats(n_trials: int, counts: _Counts) -> RunStats:
     n_ghz = int(counts.ghz_outcomes.sum())
     n_fourfold = n_ghz + counts.n_uncorrelated
-    if n_fourfold == 0:
-        return RunStats(n_trials, 0, 0, e_hat=None, std_err=None, p4_hat=0.0)
-    sum_products = int(counts.ghz_outcomes @ quantum.OUTCOME_PRODUCTS)
-    sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
-    e_hat = sum_products / n_fourfold
-    std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
+    e_hat = std_err = None
+    if n_fourfold > 0:
+        sum_products = int(counts.ghz_outcomes @ quantum.OUTCOME_PRODUCTS)
+        sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
+        e_hat = sum_products / n_fourfold
+        std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
     return RunStats(
         n_trials=n_trials,
         n_fourfold=n_fourfold,
@@ -196,6 +196,8 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
     settings, 0 otherwise).  z_correlation divides by the model's standard
     error sqrt(1 - E^2) / sqrt(n_fourfold), not the empirical one, whose
     spread is heavy-tailed when few minority products are expected.
+    z_correlation is None, and the report not comparable, when no fourfold
+    was seen or the model has no E; flagged then rests on z_fourfold alone.
     """
     ideal = quantum.operator_expectation(ghz_state(), setting)
     try:
@@ -207,28 +209,22 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
     analytic_p4 = detector.fourfold_probability(params)
     p4_se = math.sqrt(analytic_p4 * (1.0 - analytic_p4) / stats.n_trials)
     z_fourfold = (stats.p4_hat - analytic_p4) / p4_se if p4_se > 0.0 else 0.0
-    if stats.no_coincidences or analytic_e is None:
-        return ComparisonReport(
-            comparable=False,
-            analytic_e=analytic_e,
-            analytic_p4=analytic_p4,
-            z_correlation=None,
-            z_fourfold=z_fourfold,
-            flagged=abs(z_fourfold) > Z_FLAG_THRESHOLD,
-        )
-    se = detector.sigma_of_correlation(analytic_e) / math.sqrt(stats.n_fourfold)
-    if se > 0.0:
-        z_corr = (stats.e_hat - analytic_e) / se
-    elif stats.e_hat == analytic_e:  # |E| = 1 and every product was E
-        z_corr = 0.0
-    else:  # |E| = 1 allows no other product
-        z_corr = math.copysign(math.inf, stats.e_hat - analytic_e)
-    flagged = abs(z_corr) > Z_FLAG_THRESHOLD or abs(z_fourfold) > Z_FLAG_THRESHOLD
+    z_correlation = None
+    if not stats.no_coincidences and analytic_e is not None:
+        se = detector.sigma_of_correlation(analytic_e) / math.sqrt(stats.n_fourfold)
+        if se > 0.0:
+            z_correlation = (stats.e_hat - analytic_e) / se
+        elif stats.e_hat == analytic_e:  # |E| = 1 and every product was E
+            z_correlation = 0.0
+        else:  # |E| = 1 allows no other product
+            z_correlation = math.copysign(math.inf, stats.e_hat - analytic_e)
+    flagged = abs(z_fourfold) > Z_FLAG_THRESHOLD or (
+        z_correlation is not None and abs(z_correlation) > Z_FLAG_THRESHOLD)
     return ComparisonReport(
-        comparable=True,
+        comparable=z_correlation is not None,
         analytic_e=analytic_e,
         analytic_p4=analytic_p4,
-        z_correlation=z_corr,
+        z_correlation=z_correlation,
         z_fourfold=z_fourfold,
         flagged=flagged,
     )

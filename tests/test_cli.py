@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -118,6 +119,23 @@ class TestCorrelation:
         )
         assert code == 2
         assert f"{field}=" in out.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "1e-7", "--dark-rate", "300", "--window", "2e-9"], "not both"),
+        (["--gamma", "1e-7", "--window", "2e-9"], "not both"),
+        (["--gamma", "1e-7", "--dark-rate", "300"], "not both"),
+        (["--window", "2e-9"], "--window requires --dark-rate"),
+        (["--ratio-counts", "1:12", "--gamma", "1e-7"], "--ratio-counts takes no"),
+        (["--ratio-counts", "1:12", "--dark-rate", "300", "--window", "2e-9"],
+         "--ratio-counts takes no"),
+        (["--ratio-counts", "1:12", "--window", "2e-9"], "--ratio-counts takes no"),
+    ])
+    def test_conflicting_inputs_are_rejected(self, capsys, flags, message):
+        # Each of these once printed an E from one input and ignored the rest.
+        code, out = run_cli("correlation", *flags, capsys=capsys)
+        assert code == 2
+        assert out.out == ""
+        assert message in out.err
 
 
 class TestSweep:
@@ -395,6 +413,30 @@ class TestSimulate:
         )
         assert code == 2
         assert "cannot write" in out.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_event_log_write_failure(self, capsys):
+        # /dev/full opens but fails every write: an OSError once escaped with exit 1.
+        code, out = run_cli(
+            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", "1000000", "--seed", "1", "--events", "/dev/full", capsys=capsys,
+        )
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: cannot write /dev/full: ")
+
+    def test_fourfolds_without_a_model_correlation(self, capsys):
+        # p_twopair = 0: fourfolds from dark counts, but no model E.
+        code, out = run_cli(
+            "simulate", "--d", "0.9", "--gamma", "0.1", "--pair", "1",
+            "--trials", "100000", "--seed", "3", capsys=capsys,
+        )
+        assert code == 0
+        assert "fourfold coincidences = 4920\n" in out.out
+        assert "analytic E = undefined" in out.out
+        assert "no coincidences" not in out.out
+        assert "z(correlation) = n/a (model E undefined for this source), z(fourfold rate) = " \
+            in out.out
 
     def test_event_log_written(self, tmp_path, capsys):
         log = tmp_path / "events.log"

@@ -284,10 +284,20 @@ class TestSigma:
         assert det.sigma_separation(1.0) == math.inf
 
     def test_separation_requires_excess(self):
-        with pytest.raises(ValueError):
-            det.sigma_separation(0.5)
-        with pytest.raises(ValueError):
-            det.sigma_separation(0.3)
+        assert math.isnan(det.sigma_separation(0.5))
+        assert math.isnan(det.sigma_separation(0.3))
+
+    # nan at and below the bound, finite above it, inf once saturated.
+    SEPARATION_ES = [-1.0, 0.3, 0.5, 0.5 + 2**-52, 0.92, 1 - 1e-13, 1.0]
+
+    def test_separation_float_equals_its_array_cell(self):
+        grid = det.sigma_separation(np.array(self.SEPARATION_ES))
+        for e, cell in zip(self.SEPARATION_ES, grid.tolist()):
+            got = det.sigma_separation(e)
+            assert type(got) is float
+            assert got == cell or (math.isnan(got) and math.isnan(cell)), (e, got, cell)
+        assert [math.isnan(v) for v in grid] == [True, True, True, False, False, False, False]
+        assert list(np.isinf(grid)) == [False] * 5 + [True, True]
 
     def test_reduced_dark_rate_scenario(self):
         gamma = det.gamma_from_rates(RateSpec(50, 2e-9))

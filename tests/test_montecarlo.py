@@ -209,6 +209,19 @@ class TestCompareAnalytic:
         assert not report.comparable
         assert report.z_correlation is None
 
+    def test_fourfolds_without_a_model_correlation(self):
+        # Dark counts make fourfolds from single pairs, but p_twopair = 0
+        # gives no model E: only the rate is compared.
+        params = DetectorParams(0.9, 0.1, 1.0, 0.0)
+        stats = run(scaled_config(params=params, n_trials=100_000, master_seed=3))
+        report = compare_analytic(stats, params, "XYY")
+        assert stats.n_fourfold > 0
+        assert not report.comparable
+        assert report.analytic_e is None
+        assert report.z_correlation is None
+        assert math.isfinite(report.z_fourfold)
+        assert report.flagged == (abs(report.z_fourfold) > 4)
+
     @pytest.mark.parametrize("e_ghz", [0.5, -0.5])
     def test_source_correlation_below_one(self, e_ghz):
         # The kernel once drew from the ideal state whatever e_ghz was: at
