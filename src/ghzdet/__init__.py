@@ -5,12 +5,11 @@ The simulation names (RunConfig, RunStats, compare_analytic, run) are loaded
 on first use, so that ``import ghzdet`` does not import numpy.
 """
 
-from .detector import DetectorParams, RateSpec
+from .detector import DetectorParams
 from .lhv import (
     CorrelationSet,
     FeasibilityReport,
     JointDistribution8,
-    SymmetricParams,
     check_inequalities,
     construct_symmetric_joint,
     epsilon_feasible,
@@ -36,10 +35,8 @@ __all__ = [
     "DetectorParams",
     "FeasibilityReport",
     "JointDistribution8",
-    "RateSpec",
     "RunConfig",
     "RunStats",
-    "SymmetricParams",
     "check_inequalities",
     "compare_analytic",
     "construct_symmetric_joint",

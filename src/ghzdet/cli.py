@@ -67,14 +67,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 # --- construct-joint ---------------------------------------------------------
 
 def cmd_construct_joint(args: argparse.Namespace) -> int:
-    joint = lhv.construct_symmetric_joint(lhv.SymmetricParams(args.p, args.q))
+    joint = lhv.construct_symmetric_joint(args.p, args.q)
     back = lhv.expectations_from_joint(joint)
     if args.json:
-        _emit_json({"atoms": list(joint.probs), "expectations": list(back.as_tuple())})
+        _emit_json({"atoms": list(joint.probs), "expectations": list(back)})
     else:
         for label, p in zip(lhv.ATOM_LABELS, joint.probs):
             print(f"P({label}) = {fmt(p)}")
-        print(f"expectations: ({', '.join(fmt(v) for v in back.as_tuple())})")
+        print(f"expectations: ({', '.join(fmt(v) for v in back)})")
     return EXIT_OK
 
 
@@ -104,7 +104,7 @@ def _resolve_gamma(args: argparse.Namespace) -> float:
         raise ValueError("provide --gamma or --dark-rate/--window (or --ratio-counts)")
     if args.window is None:
         raise ValueError("--dark-rate requires --window")
-    return detector.gamma_from_rates(detector.RateSpec(args.dark_rate, args.window))
+    return detector.gamma_from_rates(args.dark_rate, args.window)
 
 
 def _print_correlation(payload: dict, as_json: bool) -> None:
@@ -124,14 +124,19 @@ def _print_correlation(payload: dict, as_json: bool) -> None:
 
 def cmd_correlation(args: argparse.Namespace) -> int:
     if args.ratio_counts is not None:
-        if any(v is not None for v in (args.gamma, args.dark_rate, args.window)):
-            raise ValueError("--ratio-counts takes no --gamma, --dark-rate or --window")
+        model = (args.gamma, args.dark_rate, args.window, args.d, args.ratio, args.mode)
+        if any(v is not None for v in model):
+            raise ValueError("--ratio-counts takes no --gamma, --dark-rate, --window, "
+                             "--d, --ratio or --mode")
         r = _parse_ratio_counts(args.ratio_counts)
         e = detector.correlation_from_ratio(r, args.e_ghz)
     else:
+        # No argparse defaults, so that --ratio-counts sees what was typed.
         gamma = _resolve_gamma(args)
-        params = detector.DetectorParams.from_ratio(args.d, gamma, args.ratio, args.e_ghz)
-        e = detector.corrected_correlation(params, mode=args.mode)
+        d = 0.5 if args.d is None else args.d
+        ratio = 1e10 if args.ratio is None else args.ratio
+        params = detector.DetectorParams.from_ratio(d, gamma, ratio, args.e_ghz)
+        e = detector.corrected_correlation(params, mode=args.mode or "approx")
     payload = {"e": e, "sigma": detector.sigma_of_correlation(e),
                "separation": detector.sigma_separation(e)}
     _print_correlation(payload, args.json)
@@ -351,19 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct_joint)
 
     p = sub.add_parser("correlation", help="corrected conditional correlation")
-    p.add_argument("--d", type=float, default=0.5)
+    p.add_argument("--d", type=float, help="detector efficiency (default 0.5)")
     p.add_argument("--gamma", type=float)
     p.add_argument("--dark-rate", type=float, help="dark counts per second")
     p.add_argument("--window", type=float, help="coincidence window in seconds")
-    p.add_argument(
-        "--ratio",
-        type=float,
-        default=1e10,
-        help="pair-to-two-pair production ratio (default 1e10, the reported order)",
-    )
-    p.add_argument("--ratio-counts", help="observed background:signal counts, e.g. 1:12")
+    p.add_argument("--ratio", type=float,
+                   help="pair-to-two-pair production ratio (default 1e10, the reported order)")
+    p.add_argument("--ratio-counts", help="observed background:signal counts, e.g. 1:12, "
+                   "instead of --gamma, --dark-rate, --window, --d, --ratio and --mode")
     p.add_argument("--e-ghz", type=float, default=1.0)
-    p.add_argument("--mode", choices=("approx", "exact"), default="approx")
+    p.add_argument("--mode", choices=("approx", "exact"), help="model (default approx)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_correlation)
 

@@ -22,12 +22,16 @@ detector by detector and does not use the aggregates above.
 Array path: d and gamma may be arrays of one shape, a grid of detectors, and
 E, sigma and the separation then come out as arrays from the same expressions,
 with every check applied to every cell.  ``ghzdet sweep`` works this way.
-Integer powers are written as products, which round the same for floats and
-arrays.  Anything with a ``shape`` counts as an array.
+Anything with a ``shape`` counts as an array.
 
 Floats need no numpy: both correlation modes, sigma and the separation are
 plain Python on floats, and a float rounds exactly as its grid cell does.
-numpy is imported only in the array branch of sigma_separation.
+That holds because every expression is built from +, -, *, / and square
+roots, which IEEE arithmetic rounds the same in Python and in numpy: integer
+powers are written as products, and a float's square root is math.sqrt,
+as numpy's ``** 0.5`` is.  Python's ``**`` on a float calls libm's pow,
+which need not round that way.  numpy is imported only in the array branch
+of sigma_separation.
 """
 
 from __future__ import annotations
@@ -119,27 +123,19 @@ class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_gh
         return self.p_pair / self.p_twopair
 
 
-class RateSpec(namedtuple("RateSpec", "dark_rate window")):
-    """Dark-count rate (counts/s) and coincidence window (s)."""
+def gamma_from_rates(dark_rate: float, window: float) -> float:
+    """Dark-count probability per window, first-order in the Poisson rate.
 
-    __slots__ = ()
-
-    def __new__(cls, dark_rate: float, window: float):
-        for name, value in (("dark_rate", dark_rate), ("window", window)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name}={value} must be finite and >= 0")
-        if dark_rate * window > 1.0:
-            raise ValueError(f"dark_rate * window = {dark_rate * window} exceeds 1")
-        return super().__new__(cls, dark_rate, window)
-
-    @classmethod
-    def _make(cls, iterable):  # checked, and so is _replace, which calls it
-        return cls(*iterable)
-
-
-def gamma_from_rates(r: RateSpec) -> float:
-    """Dark-count probability per window, first-order in the Poisson rate."""
-    return r.dark_rate * r.window
+    dark_rate is in counts/s and window in s; both must be finite and >= 0,
+    and their product at most 1.
+    """
+    for name, value in (("dark_rate", dark_rate), ("window", window)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name}={value} must be finite and >= 0")
+    gamma = dark_rate * window
+    if gamma > 1.0:
+        raise ValueError(f"dark_rate * window = {gamma} exceeds 1")
+    return gamma
 
 
 def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
@@ -202,8 +198,8 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
     if params.p_twopair == 0.0:
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
     if mode == "approx":
-        dilution = 1.0 + 6.0 * params.ratio * params.gamma**2 / params.d**2
-        return params.e_ghz / dilution
+        q = params.gamma / params.d  # (gamma/d)^2 as q q: d^2 alone underflows
+        return params.e_ghz / (1.0 + 6.0 * params.ratio * q * q)
     if mode == "exact":
         p4 = fourfold_probability(params)
         if not _holds(p4 > 0.0):
@@ -224,7 +220,7 @@ def sigma_of_correlation(e: float) -> float:
     """Standard deviation sqrt(1 - E^2) of a ±1 variable with mean E."""
     if not _holds((-1.0 <= e) & (e <= 1.0)):  # negated, so that a NaN fails it
         raise ValueError(f"correlation {e} outside [-1, 1]")
-    return (1.0 - e * e) ** 0.5
+    return (1.0 - e * e) ** 0.5 if hasattr(e, "shape") else math.sqrt(1.0 - e * e)
 
 
 def sigma_separation(e: float) -> float:

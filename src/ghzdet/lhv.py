@@ -65,9 +65,6 @@ class CorrelationSet(namedtuple("CorrelationSet", "e_a e_b e_c e_abc")):
     def _make(cls, iterable):  # checked, and so is _replace, which calls it
         return cls(*iterable)
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 class JointDistribution8(namedtuple("JointDistribution8", "probs")):
     """Probabilities of the eight atoms, in ATOM_LABELS order."""
@@ -84,23 +81,6 @@ class JointDistribution8(namedtuple("JointDistribution8", "probs")):
         if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
         return tuple.__new__(cls, (probs,))
-
-    @classmethod
-    def _make(cls, iterable):  # checked, and so is _replace, which calls it
-        return cls(*iterable)
-
-
-class SymmetricParams(namedtuple("SymmetricParams", "p q")):
-    """Symmetric marginals: p = P(a) = P(b) = P(c), q = P(ABC = 1)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: float, q: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p={p} outside [0, 1]")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q={q} outside [0, 1]")
-        return super().__new__(cls, p, q)
 
     @classmethod
     def _make(cls, iterable):  # checked, and so is _replace, which calls it
@@ -226,8 +206,10 @@ def expectations_from_joint(j: JointDistribution8) -> CorrelationSet:
     return CorrelationSet(moment(a), moment(b), moment(c), moment(abc))
 
 
-def construct_symmetric_joint(s: SymmetricParams) -> JointDistribution8:
+def construct_symmetric_joint(p: float, q: float) -> JointDistribution8:
     """Explicit joint distribution for symmetric marginals with 0 <= 3p-q <= 2.
+
+    p = P(a) = P(b) = P(c) and q = P(ABC = 1), each in [0, 1].
 
     Interpolates between the two boundary distributions: on 3p = q the atoms
     take (x, y, z, w) = (0, q/3, 0, 1-q); on 3p = q + 2 they take
@@ -237,16 +219,20 @@ def construct_symmetric_joint(s: SymmetricParams) -> JointDistribution8:
     a regression test pins down).  x is shared by the three single-bar atoms,
     y by the three double-bar atoms, z sits on abc and w on a'b'c'.
     """
-    t = 3.0 * s.p - s.q
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} outside [0, 1]")
+    t = 3.0 * p - q
     if t < -SIMPLEX_TOL:
         raise ValueError(f"3p - q = {t} < 0: below the symmetric feasibility band")
     if t > 2.0 + SIMPLEX_TOL:
         raise ValueError(f"3p - q = {t} > 2: above the symmetric feasibility band")
     lam = min(1.0, max(0.0, t / 2.0))
-    x = lam * (1.0 - s.q) / 3.0
-    y = (1.0 - lam) * s.q / 3.0
-    z = lam * s.q
-    w = (1.0 - lam) * (1.0 - s.q)
+    x = lam * (1.0 - q) / 3.0
+    y = (1.0 - lam) * q / 3.0
+    z = lam * q
+    w = (1.0 - lam) * (1.0 - q)
     #        abc  ab'c  abc'  ab'c'  a'bc  a'b'c  a'bc'  a'b'c'
     probs = (z,   x,    x,    y,     x,    y,     y,     w)
     return JointDistribution8(probs)

@@ -16,8 +16,8 @@ import pytest
 
 from ghzdet import detector as det
 from ghzdet import lhv, montecarlo, quantum
-from ghzdet.detector import DetectorParams, RateSpec
-from ghzdet.lhv import CorrelationSet, SymmetricParams
+from ghzdet.detector import DetectorParams
+from ghzdet.lhv import CorrelationSet
 
 
 def report(num, text):
@@ -27,7 +27,7 @@ def report(num, text):
 def test_acceptance_01_ghz_contradiction():
     start = time.perf_counter()
     witness = quantum.ghz_witness()
-    for got, want in zip(witness.as_tuple(), (1.0, 1.0, 1.0, -1.0)):
+    for got, want in zip(witness, (1.0, 1.0, 1.0, -1.0)):
         assert abs(got - want) <= 1e-12
     check = lhv.check_inequalities(witness)
     assert not check.feasible
@@ -66,12 +66,12 @@ def test_acceptance_03_symmetric_construction():
                 continue
             # clamp away float dust at the band edges of the linspace grid
             q = float(min(max(q, 3 * p - 2), 3 * p, 1.0))
-            joint = lhv.construct_symmetric_joint(SymmetricParams(float(p), q))
+            joint = lhv.construct_symmetric_joint(float(p), q)
             assert all(v >= -1e-15 for v in joint.probs)
             assert sum(joint.probs) == pytest.approx(1.0, abs=1e-12)
             back = lhv.expectations_from_joint(joint)
             e_single, e_product = 2 * p - 1, 2 * q - 1
-            assert back.as_tuple() == pytest.approx(
+            assert tuple(back) == pytest.approx(
                 (e_single, e_single, e_single, e_product), abs=1e-12
             )
             checked += 1
@@ -92,7 +92,7 @@ def test_acceptance_04_epsilon_threshold():
 
 def test_acceptance_05_reported_numerics():
     start = time.perf_counter()
-    gamma = det.gamma_from_rates(RateSpec(300, 2e-9))
+    gamma = det.gamma_from_rates(300, 2e-9)
     assert gamma == pytest.approx(6e-7)
     e = det.corrected_correlation(DetectorParams.from_ratio(0.5, gamma, 1e10), "approx")
     assert e == pytest.approx(0.9205, abs=5e-4)
@@ -122,7 +122,7 @@ def test_acceptance_06_corrected_correlation_still_infeasible():
 
 
 def test_acceptance_07_reduced_dark_rate():
-    gamma = det.gamma_from_rates(RateSpec(50, 2e-9))
+    gamma = det.gamma_from_rates(50, 2e-9)
     assert gamma == pytest.approx(1e-7)
     e = det.corrected_correlation(DetectorParams.from_ratio(0.5, gamma, 1e10), "approx")
     assert e == pytest.approx(0.9976, rel=0.05)

@@ -109,6 +109,17 @@ class TestCorrelation:
         assert code == 0
         assert "E = 1\n" in out.out
 
+    @pytest.mark.parametrize("d", ["1e-170", "1e-300"])
+    @pytest.mark.parametrize("gamma", ["0", "1e-7", "1"])
+    @pytest.mark.parametrize("ratio", ["0", "1e10"])
+    def test_approx_at_tiny_efficiency(self, capsys, d, gamma, ratio):
+        # d^2 underflows to 0 here; (gamma/d)^2 does not divide by it.
+        code, out = run_cli("correlation", "--d", d, "--gamma", gamma, "--ratio", ratio,
+                            "--json", capsys=capsys)
+        assert code == 0, out.err
+        e = json.loads(out.out)["e"]
+        assert e == (1.0 if gamma == "0" or ratio == "0" else 0.0)
+
     @pytest.mark.parametrize(
         "rate, window, field",
         [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],
@@ -129,6 +140,9 @@ class TestCorrelation:
         (["--ratio-counts", "1:12", "--dark-rate", "300", "--window", "2e-9"],
          "--ratio-counts takes no"),
         (["--ratio-counts", "1:12", "--window", "2e-9"], "--ratio-counts takes no"),
+        (["--ratio-counts", "1:12", "--d", "0.1"], "--ratio-counts takes no"),
+        (["--ratio-counts", "1:12", "--ratio", "5"], "--ratio-counts takes no"),
+        (["--ratio-counts", "1:12", "--mode", "exact"], "--ratio-counts takes no"),
     ])
     def test_conflicting_inputs_are_rejected(self, capsys, flags, message):
         # Each of these once printed an E from one input and ignored the rest.

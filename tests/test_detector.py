@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ghzdet import detector as det
-from ghzdet.detector import DetectorParams, RateSpec
+from ghzdet.detector import DetectorParams
 
 
 class TestParams:
@@ -24,8 +24,8 @@ class TestParams:
             DetectorParams.from_ratio(0.5, 1e-3, ratio)
 
     def test_rate_spec_rejects_saturated_window(self):
-        with pytest.raises(ValueError):
-            RateSpec(dark_rate=1e12, window=1.0)
+        with pytest.raises(ValueError, match=r"^dark_rate \* window = 1000000000000.0 exceeds 1$"):
+            det.gamma_from_rates(dark_rate=1e12, window=1.0)
 
     @pytest.mark.parametrize(
         "dark_rate, window, field",
@@ -38,19 +38,20 @@ class TestParams:
         ],
     )
     def test_rate_spec_rejects_non_finite_or_negative(self, dark_rate, window, field):
-        with pytest.raises(ValueError, match=f"^{field}=.* must be finite and >= 0"):
-            RateSpec(dark_rate, window)
+        value = dark_rate if field == "dark_rate" else window
+        with pytest.raises(ValueError, match=f"^{field}={value} must be finite and >= 0$"):
+            det.gamma_from_rates(dark_rate, window)
 
 
 class TestGammaFromRates:
     def test_reported_rate(self):
-        assert det.gamma_from_rates(RateSpec(300, 2e-9)) == pytest.approx(6e-7)
+        assert det.gamma_from_rates(300, 2e-9) == pytest.approx(6e-7)
 
     def test_reduced_rate(self):
-        assert det.gamma_from_rates(RateSpec(50, 2e-9)) == pytest.approx(1e-7)
+        assert det.gamma_from_rates(50, 2e-9) == pytest.approx(1e-7)
 
     def test_zero(self):
-        assert det.gamma_from_rates(RateSpec(0, 2e-9)) == 0.0
+        assert det.gamma_from_rates(0, 2e-9) == 0.0
 
 
 def channel_probabilities(d, gamma):
@@ -299,8 +300,29 @@ class TestSigma:
         assert [math.isnan(v) for v in grid] == [True, True, True, False, False, False, False]
         assert list(np.isinf(grid)) == [False] * 5 + [True, True]
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_float_chain_equals_its_grid_cell(self, mode):
+        # E, sigma and the separation of each float (d, gamma), bit for bit
+        # against the same cell of one grid.  The grid strides the 300x300
+        # sweep in bench/workloads.py and keeps its row 285, where glibc's
+        # pow(g, 2) and g*g differ.  gamma = 1e-2 puts E below the bound
+        # (separation nan), gamma = 1e-13 puts 1 - E below 1e-13 (inf).
+        gammas = np.concatenate(([1e-13], np.geomspace(1e-8, 1e-5, 300)[::15], [1e-2]))
+        ds = np.linspace(0.3, 0.9, 300)[::2]
+        grid_g, grid_d = np.meshgrid(gammas, ds, indexing="ij")
+        e = det.corrected_correlation(DetectorParams.from_ratio(grid_d, grid_g, 1e10), mode)
+        cells = np.stack((e, det.sigma_of_correlation(e), det.sigma_separation(e)), axis=-1)
+        floats = np.empty_like(cells)
+        for i, g in enumerate(gammas.tolist()):
+            for j, d in enumerate(ds.tolist()):
+                e_f = det.corrected_correlation(DetectorParams.from_ratio(d, g, 1e10), mode)
+                floats[i, j] = e_f, det.sigma_of_correlation(e_f), det.sigma_separation(e_f)
+        assert np.isnan(cells[..., 2]).any() and np.isinf(cells[..., 2]).any()
+        differ = ~((floats == cells) | (np.isnan(floats) & np.isnan(cells)))
+        assert differ.sum(axis=(0, 1)).tolist() == [0, 0, 0]  # E, sigma, separation
+
     def test_reduced_dark_rate_scenario(self):
-        gamma = det.gamma_from_rates(RateSpec(50, 2e-9))
+        gamma = det.gamma_from_rates(50, 2e-9)
         e = det.corrected_correlation(DetectorParams.from_ratio(0.5, gamma, 1e10))
         assert e == pytest.approx(0.9976, abs=2e-4)
         assert det.sigma_separation(e) == pytest.approx(7.2, rel=0.05)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ghzdet import lhv
 from ghzdet.lhv import (
     CorrelationSet,
     JointDistribution8,
-    SymmetricParams,
     check_inequalities,
     construct_symmetric_joint,
     epsilon_feasible,
@@ -144,7 +144,7 @@ class TestMerminF:
     @given(tetrads, tetrads, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_linearity_under_mixing(self, c1, c2, lam):
         mixed = CorrelationSet(
-            *(lam * a + (1 - lam) * b for a, b in zip(c1.as_tuple(), c2.as_tuple()))
+            *(lam * a + (1 - lam) * b for a, b in zip(c1, c2))
         )
         expected = lam * mermin_f(c1) + (1 - lam) * mermin_f(c2)
         assert mermin_f(mixed) == pytest.approx(expected, abs=1e-12)
@@ -283,7 +283,7 @@ class TestFeasibleOracle:
             if witness is None:
                 continue
             back = expectations_from_joint(witness)
-            for got, want in zip(back.as_tuple(), c.as_tuple()):
+            for got, want in zip(back, c):
                 assert got == pytest.approx(want, abs=1e-9)
             checked += 1
 
@@ -293,7 +293,7 @@ class TestFeasibleOracle:
         witness = feasible_oracle(c)
         assert check_inequalities(c).feasible == (witness is not None)
         if witness is not None:
-            assert witness_moments(witness) == pytest.approx(c.as_tuple(), abs=1e-12)
+            assert witness_moments(witness) == pytest.approx(tuple(c), abs=1e-12)
 
     def test_acceptance_set_against_the_enumeration(self):
         tetrads = acceptance_tetrads()
@@ -311,38 +311,42 @@ class TestFeasibleOracle:
 class TestSymmetricConstruction:
     def test_lower_boundary(self):
         # 3p = q: atoms concentrate on the double-bar atoms and a'b'c'.
-        j = construct_symmetric_joint(SymmetricParams(0.2, 0.6))
+        j = construct_symmetric_joint(0.2, 0.6)
         x, y, z, w = j.probs[1], j.probs[3], j.probs[0], j.probs[7]
         assert (x, y, z, w) == pytest.approx((0.0, 0.2, 0.0, 0.4), abs=1e-12)
 
     def test_upper_boundary(self):
         # 3p = q + 2: atoms concentrate on the single-bar atoms and abc.
-        j = construct_symmetric_joint(SymmetricParams(0.8, 0.4))
+        j = construct_symmetric_joint(0.8, 0.4)
         x, y, z, w = j.probs[1], j.probs[3], j.probs[0], j.probs[7]
         assert (x, y, z, w) == pytest.approx((0.2, 0.0, 0.4, 0.0), abs=1e-12)
 
     def test_interior_point(self):
-        j = construct_symmetric_joint(SymmetricParams(0.5, 0.5))
+        j = construct_symmetric_joint(0.5, 0.5)
         x, y, z, w = j.probs[1], j.probs[3], j.probs[0], j.probs[7]
         assert (x, y, z, w) == pytest.approx((1 / 12, 1 / 12, 0.25, 0.25), abs=1e-12)
         back = expectations_from_joint(j)
-        assert back.as_tuple() == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-12)
+        assert tuple(back) == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("p,q,fragment", [(0.0, 1.0, "below"), (1.0, 0.0, "above")])
+    @pytest.mark.parametrize("p,q,fragment", [
+        (0.0, 1.0, "below"), (1.0, 0.0, "above"),
+        (math.nan, 0.5, "p=nan outside [0, 1]"), (-0.1, 0.2, "p=-0.1 outside [0, 1]"),
+        (0.5, 1.5, "q=1.5 outside [0, 1]"), (0.5, math.inf, "q=inf outside [0, 1]"),
+    ])
     def test_out_of_band_rejected_with_side(self, p, q, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            construct_symmetric_joint(SymmetricParams(p, q))
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            construct_symmetric_joint(p, q)
 
     def test_round_trip_on_grid(self):
         for p in np.linspace(0.0, 1.0, 21):
             for q in np.linspace(0.0, 1.0, 21):
                 if not 0.0 <= 3 * p - q <= 2.0:
                     continue
-                j = construct_symmetric_joint(SymmetricParams(float(p), float(q)))
+                j = construct_symmetric_joint(float(p), float(q))
                 assert sum(j.probs) == pytest.approx(1.0, abs=1e-12)
                 back = expectations_from_joint(j)
                 e = 2 * p - 1
-                assert back.as_tuple() == pytest.approx(
+                assert tuple(back) == pytest.approx(
                     (e, e, e, 2 * q - 1), abs=1e-12
                 )
 
@@ -363,17 +367,17 @@ class TestSymmetricConstruction:
 class TestExpectationsFromJoint:
     def test_point_mass(self):
         j = JointDistribution8((1, 0, 0, 0, 0, 0, 0, 0))
-        assert expectations_from_joint(j).as_tuple() == (1, 1, 1, 1)
+        assert tuple(expectations_from_joint(j)) == (1, 1, 1, 1)
 
     def test_uniform(self):
         j = JointDistribution8((0.125,) * 8)
-        assert expectations_from_joint(j).as_tuple() == pytest.approx((0, 0, 0, 0))
+        assert tuple(expectations_from_joint(j)) == pytest.approx((0, 0, 0, 0))
 
     def test_exact_zero_at_the_symmetric_centre(self):
         # p = q = 1/2 puts 1/4 on abc and a'b'c' and 1/12 on the other six;
         # each signed sum is rounded once, so the zero means come out exactly.
-        j = construct_symmetric_joint(SymmetricParams(0.5, 0.5))
-        assert expectations_from_joint(j).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        j = construct_symmetric_joint(0.5, 0.5)
+        assert tuple(expectations_from_joint(j)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_bad_distributions(self):
         with pytest.raises(ValueError):

@@ -149,7 +149,7 @@ class TestExpectations:
 
 class TestWitness:
     def test_values(self):
-        assert ghz_witness().as_tuple() == (1.0, 1.0, 1.0, -1.0)
+        assert tuple(ghz_witness()) == (1.0, 1.0, 1.0, -1.0)
 
     def test_product_rule(self):
         # The product setting's expectation is the negative of the three

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from ghzdet.detector import DetectorParams, RateSpec
-from ghzdet.lhv import CorrelationSet, FeasibilityReport, JointDistribution8, SymmetricParams
+from ghzdet.detector import DetectorParams
+from ghzdet.lhv import CorrelationSet, FeasibilityReport, JointDistribution8
 from ghzdet.quantum import GHZState
 
 # (record type, field names in order, valid values, defaults left out of the
@@ -16,15 +16,11 @@ RECORDS = [
      dict(e_a=0.1, e_b=0.2, e_c=1.2, e_abc=0.0), "e_c=1.2 outside [-1, 1]"),
     (JointDistribution8, ("probs",), ((0.125,) * 8,), {},
      dict(probs=(0.125,) * 7), "expected 8 atom probabilities"),
-    (SymmetricParams, ("p", "q"), (0.5, 0.25), {},
-     dict(p=0.5, q=1.5), "q=1.5 outside [0, 1]"),
     (FeasibilityReport, ("feasible", "slacks", "f_value"), (True, (0.5,) * 8, 2.0), {},
      None, None),
     (DetectorParams, ("d", "gamma", "p_pair", "p_twopair", "e_ghz"), (0.5, 0.1, 0.25, 0.75),
      {"e_ghz": 1.0}, dict(d=0.5, gamma=0.1, p_pair=0.25, p_twopair=0.5),
      "p_pair + p_twopair = 0.75, must be 1"),
-    (RateSpec, ("dark_rate", "window"), (300.0, 2e-9), {},
-     dict(dark_rate=-1.0, window=1e-9), "dark_rate=-1.0 must be finite and >= 0"),
     (GHZState, ("visibility",), (), {"visibility": 1.0},
      dict(visibility=1.5), "visibility=1.5 outside [-1, 1]"),
 ]
