@@ -30,8 +30,8 @@ That holds because every expression is built from +, -, *, / and square
 roots, which IEEE arithmetic rounds the same in Python and in numpy: integer
 powers are written as products, and a float's square root is math.sqrt,
 as numpy's ``** 0.5`` is.  Python's ``**`` on a float calls libm's pow,
-which need not round that way.  numpy is imported only in the array branch
-of sigma_separation.
+which need not round that way.  numpy is imported only in the array branches
+of the approx correlation and of sigma_separation.
 """
 
 from __future__ import annotations
@@ -185,6 +185,13 @@ def fourfold_probability(params: DetectorParams) -> float:
     ) + params.p_twopair * (fire1 * fire1 * fire1 * fire1)
 
 
+def _approx_correlation(params: DetectorParams) -> float:
+    # (gamma/d)^2 as q q: d^2 alone underflows.  At ratio 0 there is no
+    # background, so E = e_ghz even where gamma/d overflows.
+    q = params.gamma / params.d if params.p_pair else 0.0 * params.gamma
+    return params.e_ghz / (1.0 + 6.0 * params.ratio * q * q)
+
+
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
     """Conditional correlation E(S1 S2 S3 | fourfold), diluted by background.
 
@@ -198,8 +205,12 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
     if params.p_twopair == 0.0:
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
     if mode == "approx":
-        q = params.gamma / params.d  # (gamma/d)^2 as q q: d^2 alone underflows
-        return params.e_ghz / (1.0 + 6.0 * params.ratio * q * q)
+        if not hasattr(params.d, "shape"):
+            return _approx_correlation(params)
+        import numpy as np
+
+        with np.errstate(over="ignore"):  # E = 0 where (gamma/d)^2 overflows
+            return _approx_correlation(params)
     if mode == "exact":
         p4 = fourfold_probability(params)
         if not _holds(p4 > 0.0):

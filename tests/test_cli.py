@@ -109,11 +109,13 @@ class TestCorrelation:
         assert code == 0
         assert "E = 1\n" in out.out
 
-    @pytest.mark.parametrize("d", ["1e-170", "1e-300"])
+    @pytest.mark.parametrize("d", ["1e-170", "1e-300", "1e-310"])
     @pytest.mark.parametrize("gamma", ["0", "1e-7", "1"])
     @pytest.mark.parametrize("ratio", ["0", "1e10"])
     def test_approx_at_tiny_efficiency(self, capsys, d, gamma, ratio):
-        # d^2 underflows to 0 here; (gamma/d)^2 does not divide by it.
+        # d^2 underflows to 0 here; (gamma/d)^2 does not divide by it.  At
+        # d = 1e-310, gamma = 1 even gamma/d overflows, and at ratio 0 there
+        # is still no background.
         code, out = run_cli("correlation", "--d", d, "--gamma", gamma, "--ratio", ratio,
                             "--json", capsys=capsys)
         assert code == 0, out.err
@@ -205,6 +207,22 @@ class TestSweep:
         assert text == "\n".join(lines) + "\n"
         assert lines[5].startswith("1e-12,0.9,") and lines[5].endswith(",inf")
         assert lines[35].startswith("0.001,") and lines[35].endswith(",nan")
+
+    @pytest.mark.parametrize("d_min, ratio, e_tiny",
+                             [("1e-170", "1e10", "0"), ("1e-310", "1e10", "0"), ("1e-310", "0", "1")])
+    def test_tiny_efficiency_is_quiet(self, tmp_path, capsys, d_min, ratio, e_tiny):
+        # (gamma/d)^2 overflows at d = 1e-170 and gamma/d at d = 1e-310: E is
+        # 0 there with a background and e_ghz without one, and numpy says
+        # nothing on stderr.
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli(
+            "sweep", "--gamma-min", "1e-3", "--gamma-max", "1", "--gamma-steps", "2",
+            "--d-min", d_min, "--d-max", "1", "--d-steps", "2",
+            "--ratio", ratio, "--out", str(out_path), capsys=capsys,
+        )
+        assert (code, out.err) == (0, "")
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows if row[1] == d_min] == [e_tiny, e_tiny]
 
     def test_row_count_and_header(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

@@ -307,19 +307,23 @@ class TestSigma:
         # sweep in bench/workloads.py and keeps its row 285, where glibc's
         # pow(g, 2) and g*g differ.  gamma = 1e-2 puts E below the bound
         # (separation nan), gamma = 1e-13 puts 1 - E below 1e-13 (inf).
-        gammas = np.concatenate(([1e-13], np.geomspace(1e-8, 1e-5, 300)[::15], [1e-2]))
-        ds = np.linspace(0.3, 0.9, 300)[::2]
+        # (gamma/d)^2 overflows at d = 1e-170, and at d = 1e-310 so does
+        # gamma/d; at ratio 0 there is no background to overflow.
+        gammas = np.concatenate(([1e-13], np.geomspace(1e-8, 1e-5, 300)[::15], [1e-2, 1.0]))
+        ds = np.concatenate(([1e-310, 1e-170], np.linspace(0.3, 0.9, 300)[::2]))
         grid_g, grid_d = np.meshgrid(gammas, ds, indexing="ij")
-        e = det.corrected_correlation(DetectorParams.from_ratio(grid_d, grid_g, 1e10), mode)
-        cells = np.stack((e, det.sigma_of_correlation(e), det.sigma_separation(e)), axis=-1)
-        floats = np.empty_like(cells)
-        for i, g in enumerate(gammas.tolist()):
-            for j, d in enumerate(ds.tolist()):
-                e_f = det.corrected_correlation(DetectorParams.from_ratio(d, g, 1e10), mode)
-                floats[i, j] = e_f, det.sigma_of_correlation(e_f), det.sigma_separation(e_f)
-        assert np.isnan(cells[..., 2]).any() and np.isinf(cells[..., 2]).any()
-        differ = ~((floats == cells) | (np.isnan(floats) & np.isnan(cells)))
-        assert differ.sum(axis=(0, 1)).tolist() == [0, 0, 0]  # E, sigma, separation
+        for ratio in (1e10, 0.0):
+            e = det.corrected_correlation(DetectorParams.from_ratio(grid_d, grid_g, ratio), mode)
+            cells = np.stack((e, det.sigma_of_correlation(e), det.sigma_separation(e)), axis=-1)
+            floats = np.empty_like(cells)
+            for i, g in enumerate(gammas.tolist()):
+                for j, d in enumerate(ds.tolist()):
+                    e_f = det.corrected_correlation(DetectorParams.from_ratio(d, g, ratio), mode)
+                    floats[i, j] = e_f, det.sigma_of_correlation(e_f), det.sigma_separation(e_f)
+            if ratio:
+                assert np.isnan(cells[..., 2]).any() and np.isinf(cells[..., 2]).any()
+            differ = ~((floats == cells) | (np.isnan(floats) & np.isnan(cells)))
+            assert differ.sum(axis=(0, 1)).tolist() == [0, 0, 0], ratio  # E, sigma, separation
 
     def test_reduced_dark_rate_scenario(self):
         gamma = det.gamma_from_rates(50, 2e-9)
