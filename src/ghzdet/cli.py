@@ -167,27 +167,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # (gamma, d, [E, sigma, separation])
     cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
     d_text = [f"{d:.12g}" for d in ds]
-    lines = ["gamma,d,E,sigma,separation"]
-    # Converted to Python floats row by row: the 300x300 grid as one nested
-    # list adds about 17 MB to the peak memory.
-    for gamma, row in zip(gammas.tolist(), cells):
-        g = f"{gamma:.12g}"
-        template = "\n".join(f"{g},{d},%.12g,%.12g,%.12g" for d in d_text)
-        lines.append(template % tuple(row.ravel().tolist()))
-    if args.contour is not None:
-        lines.append(f"# contour E={args.contour:.12g}")
-        lines.append("d,gamma")
-        for d, d_str in zip(ds, d_text):
-            try:
-                g = detector.find_gamma_for_correlation(
-                    float(d), args.ratio, args.contour, args.e_ghz
-                )
-            except ValueError:
-                continue  # level set does not cross this d-column
-            lines.append(f"{d_str},{g:.12g}")
-    text = "\n".join(lines) + "\n"
-    try:
-        Path(args.out).write_text(text)
+    # The file is opened only once the grid is computed, so a rejected input
+    # leaves none.  Each gamma row is formatted and written on its own: the
+    # text of one row is all the CSV that is ever in memory.
+    try:  # open, every write and the final flush on close can fail
+        with open(args.out, "w") as stream:
+            stream.write("gamma,d,E,sigma,separation\n")
+            for gamma, row in zip(gammas.tolist(), cells):
+                g = f"{gamma:.12g}"
+                template = "".join(f"{g},{d},%.12g,%.12g,%.12g\n" for d in d_text)
+                stream.write(template % tuple(row.ravel().tolist()))
+            if args.contour is not None:
+                stream.write(f"# contour E={args.contour:.12g}\nd,gamma\n")
+                for d, d_str in zip(ds.tolist(), d_text):
+                    try:
+                        g = detector.find_gamma_for_correlation(
+                            d, args.ratio, args.contour, args.e_ghz
+                        )
+                    except ValueError:
+                        continue  # level set does not cross this d-column
+                    stream.write(f"{d_str},{g:.12g}\n")
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {len(gammas) * len(ds)} rows to {args.out}")

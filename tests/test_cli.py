@@ -305,6 +305,63 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure(self, capsys):
+        # /dev/full opens but fails every write (or the flush on close).
+        code, out = run_cli(
+            "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
+            "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2",
+            "--ratio", "1e10", "--out", "/dev/full", capsys=capsys,
+        )
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: cannot write /dev/full: ")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ratio", "-1"), ("--ratio", "nan"), ("--e-ghz", "2"),
+        ("--d-min", "0"), ("--gamma-steps", "1"),
+    ])
+    def test_rejected_grid_writes_no_file(self, tmp_path, capsys, flag, value):
+        # The file is opened only after the whole grid is computed.  The
+        # flag comes last, and argparse keeps the last value given.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
+            "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2",
+            "--ratio", "1e10", "--out", str(out_path), flag, value, capsys=capsys,
+        )
+        assert code == 2
+        assert not out_path.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_sweep_memory_does_not_hold_the_file(self, tmp_path, mode):
+        # The 300x300 grid's CSV is 6.7 MB.  Holding its text, joined and
+        # encoded, grew the peak resident set by 24 MB over the imports;
+        # writing it row by row grows it by 8 MB.  VmHWM is this process's
+        # own peak; ru_maxrss would carry the parent's peak into the child.
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "from ghzdet import cli\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(ln.split()[1]) for ln in f if ln.startswith('VmHWM:'))\n"
+            "before = hwm()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, hwm() - before)\n"
+        )
+        proc = subprocess.run([
+            sys.executable, "-c", script, "sweep", "--mode", mode,
+            "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300",
+            "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300",
+            "--ratio", "1e10", "--out", str(tmp_path / "sweep.csv"),
+        ] + (["--contour", "0.92"] if mode == "approx" else []),
+            capture_output=True, text=True, check=True)
+        code, growth_kb = map(int, proc.stdout.split()[-2:])
+        assert code == 0
+        assert growth_kb <= 16 * 1024
+
 
 class TestSimulate:
     def test_requires_seed(self, capsys):
