@@ -3,7 +3,7 @@ parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
 Numbers are printed with 12 significant digits.  numpy is imported only where
-arrays are built (sweep and simulate), so check, construct-joint, quantum and
+arrays are built, in sweep, so check, construct-joint, quantum, simulate and
 correlation in every mode start without it.
 """
 

@@ -8,8 +8,7 @@ model in :mod:`ghzdet.detector`.
 
 Windows are independent and so are the detectors inside a window, so n
 windows are simulated exactly by binomial thinning of counts, with a fixed
-number of draws whatever n is (Kachitvichyanukul & Schmeiser, CACM 31(2):216
-(1988), for the binomial sampler).  From the model the simulation takes only
+number of draws whatever n is.  From the model the simulation takes only
 the per-detector firing probabilities (``detector.fire_probabilities``) and
 the arrival-channel table (``detector.ARRIVAL_COUNTS``); the aggregation of
 those into fourfold probabilities is what it checks, and it does its own:
@@ -21,21 +20,31 @@ those into fourfold probabilities is what it checks, and it does its own:
   took part and the product is uncorrelated.
 * Spins: correlated quadruples draw their outcome triples from the Born
   table of a source of visibility e_ghz (``quantum.outcome_probabilities``),
-  so their mean product is e_ghz times the ideal one; uncorrelated fourfolds
-  a fair +-1 product.
+  as conditional binomials, so their mean product is e_ghz times the ideal
+  one; uncorrelated fourfolds a fair +-1 product.
 
-Reproducibility: the draws come from one generator seeded by the master seed
-alone, so a run depends only on (config, seed).  The optional event log draws
-from a second, independent substream and leaves the statistics unchanged.
+The binomial sampler is exact for any count below 2**63 and needs only the
+standard library: geometric skipping where n*p < 10 (Devroye, *Non-Uniform
+Random Variate Generation*, 1986), and otherwise Hoermann's transformed
+rejection with squeeze, BTRS (J. Stat. Comput. Simul. 46, 101 (1993)).  Its
+acceptance test takes differences of log-factorials from the exact integer
+difference, since plain ``lgamma`` differences are rounding noise at
+n ~ 1e14.
+
+Reproducibility: the kernel and the optional event log each draw from their
+own ``random.Random``, seeded with a string made of the master seed and a tag,
+so a run depends only on (config, seed) and the log leaves the statistics
+unchanged.  The kernel drew from numpy's generator before, so a fixed
+(config, seed) now gives a different result than it did then; the result is
+still deterministic, and the same on every Python version from 3.10.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import IO, Optional
-
-import numpy as np
+from typing import IO, NamedTuple, Optional
 
 from . import detector, quantum
 from .detector import ARRIVAL_COUNTS, ARRIVAL_TAGS, DetectorParams
@@ -45,6 +54,11 @@ TWOPAIR_TAG = "TD1D2D3"
 EVENT_HEADER = "# creation,arrival,ghz,product"
 
 Z_FLAG_THRESHOLD = 4.0
+
+
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,8 @@ class RunConfig:
 
     def __post_init__(self):
         validate_setting(self.setting)
+        _require_int("n_trials", self.n_trials)
+        _require_int("master_seed", self.master_seed)
         if not 1 <= self.n_trials < 2**63:
             raise ValueError("n_trials must be in [1, 2**63 - 1]")
         if not 0 <= self.master_seed < 2**64:
@@ -93,54 +109,151 @@ class ComparisonReport:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class _Counts:
+# ln x! for x < 10, where the Stirling series below is not yet accurate.
+_LOG_FACTORIAL = tuple(math.log(math.factorial(x)) for x in range(10))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_correction(x: int) -> float:
+    """ln x! - ((x + 1/2) ln x - x + ln(2 pi)/2) for x >= 10, to below 1e-12."""
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+
+
+def _log_factorial(x: int) -> float:
+    if x < len(_LOG_FACTORIAL):
+        return _LOG_FACTORIAL[x]
+    return (x + 0.5) * math.log(x) - x + _HALF_LOG_2PI + _stirling_correction(x)
+
+
+def _log_factorial_ratio(a: int, b: int) -> float:
+    """ln a! - ln b! for integers a, b >= 0.
+
+    Where both are large the two log-factorials are nearly equal, so the
+    difference is taken from the exact a - b: (b + 1/2) ln(a/b) by log1p,
+    plus (a - b)(ln a - 1) and the two Stirling corrections.
+    """
+    if min(a, b) < len(_LOG_FACTORIAL):
+        return _log_factorial(a) - _log_factorial(b)
+    delta = a - b
+    return ((b + 0.5) * math.log1p(delta / b) + delta * (math.log(a) - 1.0)
+            + _stirling_correction(a) - _stirling_correction(b))
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """An exact Binomial(n, p) draw for an int n in [0, 2**63 - 1], p in [0, 1]."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)  # 1 - p is exact here
+    if n * p < 10.0:
+        # Geometric skipping: the gap to the next success is floor(g) failures,
+        # g = ln(1 - U)/ln(1 - p) (never ln 0).  log1p keeps c from rounding to
+        # 0 at p < 2**-53, and g >= n - y also catches an infinite g.
+        c = math.log1p(-p)
+        x = y = 0  # successes, and trials used up to and including the last
+        while True:
+            g = math.log(1.0 - rng.random()) / c
+            if g >= n - y:
+                return x
+            y += math.floor(g) + 1
+            x += 1
+    # BTRS, with Hoermann's constants.  n*p is split exactly into an integer
+    # and a fraction: as one float it would round to a multiple of 512 near
+    # 2**63, and so would every draw.
+    num, den = p.as_integer_ratio()
+    base, rest = divmod(n * num, den)
+    m = (n + 1) * num // den  # the mode
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = rest / den + 0.5  # n*p + 1/2 - base
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    lpq = math.log(p / q)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # random() gave 0.0; the hat has no mass there
+            continue
+        k = base + math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rng.random()  # in (0, 1], so its log exists
+        if us >= 0.07 and v <= v_r:
+            return k
+        v = math.log(v * alpha / (a / (us * us) + b))
+        if v <= (_log_factorial_ratio(m, k) + _log_factorial_ratio(n - m, n - k)
+                 + (k - m) * lpq):
+            return k
+
+
+def _multinomial(rng: random.Random, n: int, probs: tuple[float, ...]) -> tuple[int, ...]:
+    """Counts of n draws over probs (summing to 1), as conditional binomials.
+
+    Each cell is Binomial(n left, p / mass left); the mass left is the exactly
+    rounded sum of the remaining cells, so the ratio never exceeds 1.
+    """
+    counts = []
+    for i, p in enumerate(probs[:-1]):
+        k = _binomial(rng, n, p / math.fsum(probs[i:])) if p > 0.0 else 0
+        counts.append(k)
+        n -= k
+    counts.append(n)
+    return tuple(counts)
+
+
+class _Counts(NamedTuple):
     """Fourfolds of one run, by kind; all products are tallied in sums."""
 
-    pair_by_channel: np.ndarray  # single-pair fourfolds per arrival channel
+    pair_by_channel: tuple[int, ...]  # single-pair fourfolds per arrival channel
     twopair_dark: int  # double-pair fourfolds with a dark count in D1..D3
-    ghz_outcomes: np.ndarray  # correlated quadruples per Born outcome index
-    n_uncorrelated: int  # pair_by_channel.sum() + twopair_dark
+    ghz_outcomes: tuple[int, ...]  # correlated quadruples per Born outcome index
+    n_uncorrelated: int  # sum(pair_by_channel) + twopair_dark
     uncorrelated_plus: int  # uncorrelated fourfolds with product +1
 
 
-def _simulate(cfg: RunConfig, rng: np.random.Generator) -> _Counts:
+def _simulate(cfg: RunConfig, rng: random.Random) -> _Counts:
     """All cfg.n_trials windows by binomial thinning."""
     p = cfg.params
     fire = detector.fire_probabilities(p.d, p.gamma)
-    n_two = int(rng.binomial(cfg.n_trials, p.p_twopair))
+    n_two = _binomial(rng, cfg.n_trials, p.p_twopair)
 
     left = cfg.n_trials - n_two  # single-pair windows not yet fourfold
-    pair_by_channel = np.zeros(len(ARRIVAL_COUNTS), dtype=np.int64)
-    for i, counts in enumerate(ARRIVAL_COUNTS):
+    pair_by_channel = []
+    for counts in ARRIVAL_COUNTS:
         k = left
         for photons in counts:
-            k = rng.binomial(k, fire[photons])
-        pair_by_channel[i] = k
+            k = _binomial(rng, k, fire[photons])
+        pair_by_channel.append(k)
         left -= k
 
     # Double pairs, one photon per detector: T fires on a real photon or a
     # dark count; D1..D3 split into "all real so far" and "some dark".
-    real = rng.binomial(n_two, fire[1])
+    real = _binomial(rng, n_two, fire[1])
     dark = 0
     for _ in range(3):
-        hit = rng.binomial(real, p.d)
-        dark = rng.binomial(dark, fire[1]) + rng.binomial(real - hit, p.gamma)
+        hit = _binomial(rng, real, p.d)
+        dark = _binomial(rng, dark, fire[1]) + _binomial(rng, real - hit, p.gamma)
         real = hit
 
     born = quantum.outcome_probabilities(ghz_state(p.e_ghz), cfg.setting)
-    ghz_outcomes = rng.multinomial(real, born)
-    n_uncorrelated = int(pair_by_channel.sum() + dark)
-    return _Counts(pair_by_channel, int(dark), ghz_outcomes, n_uncorrelated,
-                   int(rng.binomial(n_uncorrelated, 0.5)))
+    ghz_outcomes = _multinomial(rng, real, born)
+    n_uncorrelated = sum(pair_by_channel) + dark
+    return _Counts(tuple(pair_by_channel), dark, ghz_outcomes, n_uncorrelated,
+                   _binomial(rng, n_uncorrelated, 0.5))
 
 
 def _stats(n_trials: int, counts: _Counts) -> RunStats:
-    n_ghz = int(counts.ghz_outcomes.sum())
+    n_ghz = sum(counts.ghz_outcomes)
     n_fourfold = n_ghz + counts.n_uncorrelated
     e_hat = std_err = None
     if n_fourfold > 0:
-        sum_products = int(counts.ghz_outcomes @ quantum.OUTCOME_PRODUCTS)
+        sum_products = sum(k * s for k, s in zip(counts.ghz_outcomes, quantum.OUTCOME_PRODUCTS))
         sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
         e_hat = sum_products / n_fourfold
         std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
@@ -154,25 +267,30 @@ def _stats(n_trials: int, counts: _Counts) -> RunStats:
     )
 
 
-def _write_events(counts: _Counts, rng: np.random.Generator, stream: IO[str]) -> None:
+def _write_events(counts: _Counts, rng: random.Random, stream: IO[str]) -> None:
     """One line per fourfold, in random order: creation, arrival, ghz, product.
 
     The lines expand the counted outcomes exactly.  Uncorrelated fourfolds
     get their +1 products on a random subset of the counted size, and the
     order is a random permutation: given the counts, both are uniform for
-    independent windows.
+    independent windows.  Each fourfold is drawn as a small code, 2 * kind
+    for a -1 product and 2 * kind + 1 for +1, and written from a table of
+    the lines.
     """
-    pair_tags = [f"pair,{tag},-" for tag in ARRIVAL_TAGS]
-    uncorrelated = np.repeat(pair_tags + [f"twopair,{TWOPAIR_TAG},-"],
-                             [*counts.pair_by_channel, counts.twopair_dark])
-    products = np.full(len(uncorrelated), -1, dtype=np.int64)
-    products[rng.permutation(len(uncorrelated))[: counts.uncorrelated_plus]] = 1
-    ghz = np.repeat(quantum.OUTCOME_PRODUCTS, counts.ghz_outcomes)
-    labels = np.concatenate([uncorrelated, np.full(len(ghz), f"twopair,{TWOPAIR_TAG},ghz")])
-    products = np.concatenate([products, ghz])
+    labels = [f"pair,{tag},-" for tag in ARRIVAL_TAGS]
+    labels += [f"twopair,{TWOPAIR_TAG},-", f"twopair,{TWOPAIR_TAG},ghz"]
+    lines = [f"{label},{product:+d}\n" for label in labels for product in (-1, 1)]
+    codes = []
+    for kind, n in enumerate((*counts.pair_by_channel, counts.twopair_dark)):
+        codes += [2 * kind] * n
+    for i in rng.sample(range(len(codes)), counts.uncorrelated_plus):
+        codes[i] += 1
+    ghz = 2 * (len(labels) - 1)
+    for product, n in zip(quantum.OUTCOME_PRODUCTS, counts.ghz_outcomes):
+        codes += [ghz + (product > 0)] * n
+    rng.shuffle(codes)
     stream.write(EVENT_HEADER + "\n")
-    for i in rng.permutation(len(labels)):
-        stream.write(f"{labels[i]},{products[i]:+d}\n")
+    stream.writelines(map(lines.__getitem__, codes))
 
 
 def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
@@ -181,10 +299,9 @@ def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
     With an event_stream, one line per fourfold is written after a header
     line; the statistics are the same with and without it.
     """
-    kernel_seed, event_seed = np.random.SeedSequence(cfg.master_seed).spawn(2)
-    counts = _simulate(cfg, np.random.default_rng(kernel_seed))
+    counts = _simulate(cfg, random.Random(f"{cfg.master_seed}:kernel"))
     if event_stream is not None:
-        _write_events(counts, np.random.default_rng(event_seed), event_stream)
+        _write_events(counts, random.Random(f"{cfg.master_seed}:events"), event_stream)
     return _stats(cfg.n_trials, counts)
 
 

@@ -1,4 +1,5 @@
-"""numpy is imported only where there are arrays, and dataclasses not at all.
+"""numpy is imported only where there are arrays, and dataclasses only by the
+simulation.
 
 `import ghzdet` loads lhv, detector and quantum; the simulation,
 ghzdet.montecarlo, is imported by name.
@@ -6,9 +7,13 @@ ghzdet.montecarlo, is imported by name.
 `check`, `construct-joint`, every form of `correlation`, `quantum` and the
 batch LHV masks run on plain floats, so a fresh interpreter running them never
 imports numpy.  The records are named tuples, so none of these statements
-imports dataclasses either.
+imports dataclasses either.  `simulate` draws from the standard library's
+`random` and builds no array, so it runs without numpy in every output form,
+even where numpy cannot be imported; its RunConfig is a dataclass.
 """
 
+import json
+import os
 import subprocess
 import sys
 
@@ -53,3 +58,30 @@ def test_import_loads_the_analysis_modules_only():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["ghzdet.detector", "ghzdet.lhv", "ghzdet.quantum"]
+
+
+SIMULATE = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", "1000000", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SIMULATE, SIMULATE + ("--json",), SIMULATE + ("--json", "--events", os.devnull)],
+    ids=["text", "json", "events"],
+)
+def test_simulate_does_not_import_numpy(argv):
+    script = (f"import sys\n{cli_call(*argv)}\n"
+              "sys.exit(3 if 'numpy' in sys.modules else 0)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, f"numpy imported (exit {proc.returncode}): {proc.stderr}"
+
+
+def test_simulate_runs_where_numpy_cannot_be_imported():
+    # A None entry in sys.modules makes every `import numpy` raise ImportError.
+    script = ("import sys\nsys.modules['numpy'] = None\nfrom ghzdet import cli\n"
+              f"sys.exit(cli.main({list(SIMULATE + ('--json',))!r}))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_trials"] == 1_000_000

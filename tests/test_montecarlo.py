@@ -31,8 +31,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             scaled_config(n_workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 1000.5), ("n_trials", 1e6), ("n_trials", True),
+        ("master_seed", 1.5), ("master_seed", 3.0), ("master_seed", True), ("master_seed", "7"),
+    ])
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        # A float count once ran and was reported back as a float, and a float
+        # seed would be seeded from its text.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            scaled_config(**{field: value})
+
     def test_n_trials_fits_the_binomial_sampler(self):
-        # numpy's binomial takes an int64 count; one more overflowed there.
+        # The sampler takes counts below 2**63, as numpy's int64 one did.
         assert scaled_config(n_trials=2**63 - 1).n_trials == 2**63 - 1
         with pytest.raises(ValueError, match="n_trials"):
             scaled_config(n_trials=2**63)
