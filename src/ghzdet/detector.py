@@ -59,7 +59,6 @@ ARRIVAL_COUNTS = (
 # The local-hidden-variable limit on E that the separation is measured from.
 LHV_BOUND = 0.5
 SEPARATION_CAP = 1e6
-GAMMA_MAX = 1e-3
 PROB_TOL = 1e-12
 
 
@@ -261,8 +260,8 @@ def find_gamma_for_correlation(
     """Invert the approx-mode correlation for gamma in closed form.
 
     E = e_ghz / (1 + 6 ratio gamma^2 / d^2) gives
-    gamma = d sqrt((e_ghz/E - 1) / (6 ratio)).  Targets that need
-    gamma > GAMMA_MAX are rejected as not reached.
+    gamma = d sqrt((e_ghz/E - 1) / (6 ratio)).  Targets that need gamma > 1
+    are rejected as not reached.
     """
     if not 0.0 < e_target <= e_ghz:
         raise ValueError(f"target {e_target} must lie in (0, e_ghz={e_ghz}]")
@@ -271,8 +270,6 @@ def find_gamma_for_correlation(
     if excess == 0.0:
         return 0.0
     gamma = d * math.sqrt(excess / (6.0 * ratio)) if d > 0.0 and ratio > 0.0 else math.inf
-    if gamma > GAMMA_MAX:
-        raise ValueError(
-            f"target correlation not reached within gamma <= {GAMMA_MAX}"
-        )
+    if gamma > 1.0:
+        raise ValueError("target correlation not reached within gamma <= 1")
     return gamma

@@ -18,10 +18,11 @@ those into fourfold probabilities is what it checks, and it does its own:
 * Double pairs put one photon on each detector.  A fourfold is a correlated
   quadruple when D1..D3 all fired on real photons; otherwise a dark count
   took part and the product is uncorrelated.
-* Spins: correlated quadruples draw their outcome triples from the Born
-  table of a source of visibility e_ghz (``quantum.outcome_probabilities``),
-  as conditional binomials, so their mean product is e_ghz times the ideal
-  one; uncorrelated fourfolds a fair +-1 product.
+* Products: only the spin product s1 s2 s3 of a fourfold is reported, so
+  that is all that is drawn.  A correlated quadruple's product is +1 with
+  the Born probability (1 + E)/2, where E is e_ghz times the setting's ideal
+  expectation (``quantum.operator_expectation``), one binomial for all of
+  them; an uncorrelated fourfold's product is a fair +-1.
 
 The binomial sampler is exact for any count below 2**63 and needs only the
 standard library: geometric skipping where n*p < 10 (Devroye, *Non-Uniform
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional
+from typing import IO, Optional
 
 from . import detector, quantum
 from .detector import ARRIVAL_COUNTS, ARRIVAL_TAGS, DetectorParams
@@ -192,33 +193,55 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _multinomial(rng: random.Random, n: int, probs: tuple[float, ...]) -> tuple[int, ...]:
-    """Counts of n draws over probs (summing to 1), as conditional binomials.
+def _write_events(by_kind: list[int], n_plus: int, rng: random.Random, stream: IO[str]) -> None:
+    """One line per fourfold, in random order: creation, arrival, ghz, product.
 
-    Each cell is Binomial(n left, p / mass left); the mass left is the exactly
-    rounded sum of the remaining cells, so the ratio never exceeds 1.
+    by_kind counts the fourfolds of each kind: the ten pair channels and the
+    dark-assisted double pairs, whose products are uncorrelated and n_plus of
+    them +1, then the correlated quadruples with product -1 and with +1.  Each
+    line takes its kind in proportion to the fourfolds of each kind not yet
+    written, and an uncorrelated line is +1 with the share of +1 products left
+    among the uncorrelated ones.  So the order is a uniform permutation and the
+    +1 products a uniform subset, as they are for independent windows given
+    the counts, and nothing is held per fourfold.
     """
-    counts = []
-    for i, p in enumerate(probs[:-1]):
-        k = _binomial(rng, n, p / math.fsum(probs[i:])) if p > 0.0 else 0
-        counts.append(k)
-        n -= k
-    counts.append(n)
-    return tuple(counts)
+    labels = [f"pair,{tag},-" for tag in ARRIVAL_TAGS] + [f"twopair,{TWOPAIR_TAG},-"]
+    # (-1 line, +1 line) of each kind; a correlated kind's product is fixed.
+    lines = [tuple(f"{label},{product:+d}\n" for product in (-1, 1)) for label in labels]
+    lines += [(f"twopair,{TWOPAIR_TAG},ghz,{product:+d}\n",) * 2 for product in (-1, 1)]
+    # The kinds are scanned most frequent first, which keeps the scan short
+    # and leaves each kind's share unchanged.
+    order = sorted(range(len(by_kind)), key=by_kind.__getitem__, reverse=True)
+    left = [by_kind[k] for k in order]
+    lines = [lines[k] for k in order]
+    mixed = [k < len(labels) for k in order]
+    n_uncorrelated = sum(by_kind[:len(labels)])
+    # randrange(n) without its argument checks: the same draws, in half the time.
+    write, below = stream.write, rng._randbelow
+    write(EVENT_HEADER + "\n")
+    for total in range(sum(left), 0, -1):
+        r = below(total)
+        i = 0
+        while r >= left[i]:
+            r -= left[i]
+            i += 1
+        left[i] -= 1
+        if mixed[i]:
+            plus = below(n_uncorrelated) < n_plus
+            n_plus -= plus
+            n_uncorrelated -= 1
+            write(lines[i][plus])
+        else:
+            write(lines[i][0])
 
 
-class _Counts(NamedTuple):
-    """Fourfolds of one run, by kind; all products are tallied in sums."""
+def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
+    """Simulate cfg.n_trials independent windows by binomial thinning.
 
-    pair_by_channel: tuple[int, ...]  # single-pair fourfolds per arrival channel
-    twopair_dark: int  # double-pair fourfolds with a dark count in D1..D3
-    ghz_outcomes: tuple[int, ...]  # correlated quadruples per Born outcome index
-    n_uncorrelated: int  # sum(pair_by_channel) + twopair_dark
-    uncorrelated_plus: int  # uncorrelated fourfolds with product +1
-
-
-def _simulate(cfg: RunConfig, rng: random.Random) -> _Counts:
-    """All cfg.n_trials windows by binomial thinning."""
+    With an event_stream, one line per fourfold is written after a header
+    line; the statistics are the same with and without it.
+    """
+    rng = random.Random(f"{cfg.master_seed}:kernel")
     p = cfg.params
     fire = detector.fire_probabilities(p.d, p.gamma)
     n_two = _binomial(rng, cfg.n_trials, p.p_twopair)
@@ -241,68 +264,27 @@ def _simulate(cfg: RunConfig, rng: random.Random) -> _Counts:
         dark = _binomial(rng, dark, fire[1]) + _binomial(rng, real - hit, p.gamma)
         real = hit
 
-    born = quantum.outcome_probabilities(ghz_state(p.e_ghz), cfg.setting)
-    ghz_outcomes = _multinomial(rng, real, born)
+    e_source = quantum.operator_expectation(ghz_state(p.e_ghz), cfg.setting)
+    ghz_plus = _binomial(rng, real, (1.0 + e_source) / 2.0)
     n_uncorrelated = sum(pair_by_channel) + dark
-    return _Counts(tuple(pair_by_channel), dark, ghz_outcomes, n_uncorrelated,
-                   _binomial(rng, n_uncorrelated, 0.5))
+    uncorrelated_plus = _binomial(rng, n_uncorrelated, 0.5)
+    if event_stream is not None:
+        _write_events([*pair_by_channel, dark, real - ghz_plus, ghz_plus], uncorrelated_plus,
+                      random.Random(f"{cfg.master_seed}:events"), event_stream)
 
-
-def _stats(n_trials: int, counts: _Counts) -> RunStats:
-    n_ghz = sum(counts.ghz_outcomes)
-    n_fourfold = n_ghz + counts.n_uncorrelated
+    n_fourfold = real + n_uncorrelated
     e_hat = std_err = None
     if n_fourfold > 0:
-        sum_products = sum(k * s for k, s in zip(counts.ghz_outcomes, quantum.OUTCOME_PRODUCTS))
-        sum_products += 2 * counts.uncorrelated_plus - counts.n_uncorrelated
-        e_hat = sum_products / n_fourfold
+        e_hat = (2 * (ghz_plus + uncorrelated_plus) - n_fourfold) / n_fourfold
         std_err = detector.sigma_of_correlation(e_hat) / math.sqrt(n_fourfold)
     return RunStats(
-        n_trials=n_trials,
+        n_trials=cfg.n_trials,
         n_fourfold=n_fourfold,
-        n_ghz_fourfold=n_ghz,
+        n_ghz_fourfold=real,
         e_hat=e_hat,
         std_err=std_err,
-        p4_hat=n_fourfold / n_trials,
+        p4_hat=n_fourfold / cfg.n_trials,
     )
-
-
-def _write_events(counts: _Counts, rng: random.Random, stream: IO[str]) -> None:
-    """One line per fourfold, in random order: creation, arrival, ghz, product.
-
-    The lines expand the counted outcomes exactly.  Uncorrelated fourfolds
-    get their +1 products on a random subset of the counted size, and the
-    order is a random permutation: given the counts, both are uniform for
-    independent windows.  Each fourfold is drawn as a small code, 2 * kind
-    for a -1 product and 2 * kind + 1 for +1, and written from a table of
-    the lines.
-    """
-    labels = [f"pair,{tag},-" for tag in ARRIVAL_TAGS]
-    labels += [f"twopair,{TWOPAIR_TAG},-", f"twopair,{TWOPAIR_TAG},ghz"]
-    lines = [f"{label},{product:+d}\n" for label in labels for product in (-1, 1)]
-    codes = []
-    for kind, n in enumerate((*counts.pair_by_channel, counts.twopair_dark)):
-        codes += [2 * kind] * n
-    for i in rng.sample(range(len(codes)), counts.uncorrelated_plus):
-        codes[i] += 1
-    ghz = 2 * (len(labels) - 1)
-    for product, n in zip(quantum.OUTCOME_PRODUCTS, counts.ghz_outcomes):
-        codes += [ghz + (product > 0)] * n
-    rng.shuffle(codes)
-    stream.write(EVENT_HEADER + "\n")
-    stream.writelines(map(lines.__getitem__, codes))
-
-
-def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
-    """Simulate cfg.n_trials independent windows and tally the fourfolds.
-
-    With an event_stream, one line per fourfold is written after a header
-    line; the statistics are the same with and without it.
-    """
-    counts = _simulate(cfg, random.Random(f"{cfg.master_seed}:kernel"))
-    if event_stream is not None:
-        _write_events(counts, random.Random(f"{cfg.master_seed}:events"), event_stream)
-    return _stats(cfg.n_trials, counts)
 
 
 def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XYY") -> ComparisonReport:

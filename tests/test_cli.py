@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,15 +277,31 @@ class TestSweep:
         assert not out_path.exists()
 
     def test_unreached_contour_level_gives_empty_block(self, tmp_path, capsys):
-        # E = 1e-9 needs gamma far above GAMMA_MAX in every column.
+        # E = 1e-12 needs gamma = 2.0 at d = 0.5 and 2.4 at d = 0.6.
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(
             "sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
             "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10",
-            "--contour", "1e-9", "--out", str(out_path), capsys=capsys,
+            "--contour", "1e-12", "--out", str(out_path), capsys=capsys,
         )
         assert code == 0
-        assert out_path.read_text().endswith("# contour E=1e-09\nd,gamma\n")
+        assert out_path.read_text().endswith("# contour E=1e-12\nd,gamma\n")
+
+    def test_contour_crossed_at_large_gamma(self, tmp_path, capsys):
+        # The grid reaches gamma = 1, and E = 0.5 at ratio 1 is crossed at
+        # gamma = d / sqrt(6): a level above gamma = 1e-3 is not dropped.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-3", "--gamma-max", "1", "--gamma-steps", "3",
+            "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1",
+            "--contour", "0.5", "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 0
+        block = out_path.read_text().split("# contour E=0.5\nd,gamma\n")[1]
+        assert [row.split(",")[0] for row in block.splitlines()] == ["0.5", "0.6"]
+        for row in block.splitlines():
+            d, gamma = map(float, row.split(","))
+            assert gamma == pytest.approx(d / math.sqrt(6.0), rel=1e-12)
 
     def test_monotone_in_gamma_at_fixed_d(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -509,6 +526,19 @@ class TestSimulate:
         code, out = run_cli(
             "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
             "--trials", "1000000", "--seed", "1", "--events", "/dev/full", capsys=capsys,
+        )
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: cannot write /dev/full: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_event_log_is_streamed(self, capsys):
+        # About 7.4e15 fourfolds: a log held in memory before it is written
+        # died here with MemoryError and exit 1.
+        code, out = run_cli(
+            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", str(2**63 - 1), "--seed", str(2**64 - 1), "--e-ghz", "0.3",
+            "--setting", "XXX", "--json", "--events", "/dev/full", capsys=capsys,
         )
         assert code == 2
         assert out.out == ""

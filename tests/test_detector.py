@@ -359,5 +359,6 @@ class TestGammaInversion:
             assert e == pytest.approx(0.92, abs=1e-14)
 
     def test_unreachable_target_rejected(self):
-        with pytest.raises(ValueError):
-            det.find_gamma_for_correlation(0.5, 1e10, 1e-6)
+        # E = 1e-12 needs gamma = 2.0 here; gamma is a probability.
+        with pytest.raises(ValueError, match="gamma <= 1"):
+            det.find_gamma_for_correlation(0.5, 1e10, 1e-12)

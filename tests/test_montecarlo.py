@@ -1,5 +1,6 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -187,6 +188,24 @@ class TestEventLog:
         run(cfg, event_stream=b)
         assert a.getvalue() == b.getvalue()
 
+    def test_ghz_line_position_is_uniform(self):
+        # For fixed counts, one correlated quadruple among 10 fourfolds is on
+        # each line with probability 1/10.  Over 2000 seeded logs the
+        # chi-square statistic of its positions (9 degrees of freedom) exceeds
+        # 44.81 with probability 1e-6 for a correct log.
+        by_kind = [2, 0, 1, 0, 0, 3, 0, 0, 0, 1, 2, 0, 1]  # pair channels, dark, ghz -1, ghz +1
+        seeds = 2000
+        positions = [0] * 10
+        for seed in range(seeds):
+            stream = io.StringIO()
+            mc._write_events(by_kind, 4, random.Random(seed), stream)
+            lines = stream.getvalue().splitlines()[1:]
+            assert len(lines) == 10
+            assert sum(ln.endswith("+1") for ln in lines) == 5
+            positions[[",ghz," in ln for ln in lines].index(True)] += 1
+        expected = seeds / 10
+        assert sum((k - expected) ** 2 / expected for k in positions) < 44.81
+
     def test_scalar_path_statistics_match_analytic(self):
         # A run with an event log must agree with the closed-form model too.
         params = DetectorParams(0.5, 0.05, 0.6, 0.4)
@@ -232,13 +251,20 @@ class TestCompareAnalytic:
         assert math.isfinite(report.z_fourfold)
         assert report.flagged == (abs(report.z_fourfold) > 4)
 
-    @pytest.mark.parametrize("e_ghz", [0.5, -0.5])
-    def test_source_correlation_below_one(self, e_ghz):
+    # A correlated product is +1 with probability (1 + v)/2 for XYY, (1 - v)/2
+    # for XXX and 1/2 for XXY or v = 0.
+    @pytest.mark.parametrize("setting, e_ghz", [
+        pytest.param("XYY", 0.5, id="0.5"), pytest.param("XYY", -0.5, id="-0.5"),
+        pytest.param("XXX", 0.5, id="XXX-0.5"), pytest.param("XXY", 0.5, id="XXY-0.5"),
+        pytest.param("XYY", 0.0, id="0.0"),
+    ])
+    def test_source_correlation_below_one(self, setting, e_ghz):
         # The kernel once drew from the ideal state whatever e_ghz was: at
         # e_ghz = 0.5 this run gave z_correlation +183.
         params = DetectorParams(0.5, 1e-2, 0.99, 0.01, e_ghz)
-        stats = run(scaled_config(params=params, n_trials=100_000_000, master_seed=1))
-        report = compare_analytic(stats, params, "XYY")
+        stats = run(scaled_config(params=params, setting=setting, n_trials=100_000_000,
+                                  master_seed=1))
+        report = compare_analytic(stats, params, setting)
         assert abs(report.z_correlation) < 4
         assert not report.flagged
 

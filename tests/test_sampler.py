@@ -21,7 +21,6 @@ import mpmath
 import pytest
 
 from ghzdet import montecarlo as mc
-from ghzdet import quantum
 
 DRAWS = 20_000
 MIN_EXPECTED = 20
@@ -178,17 +177,6 @@ def test_certain_outcomes_draw_nothing(n):
     assert mc._binomial(rng, n, 1.0) == n
     assert mc._binomial(rng, 0, 0.4) == 0
     assert rng.getstate() == state
-
-
-@pytest.mark.parametrize("visibility", [1.0, 0.3, 0.0, -1.0])
-@pytest.mark.parametrize("n", [0, 1, 7, 10**6, N_MAX])
-def test_multinomial_counts_sum_to_n(visibility, n):
-    probs = quantum.outcome_probabilities(quantum.ghz_state(visibility), "XYY")
-    counts = mc._multinomial(random.Random(n), n, probs)
-    assert len(counts) == len(probs)
-    assert sum(counts) == n
-    assert all(k >= 0 for k in counts)
-    assert all(k == 0 for k, p in zip(counts, probs) if p == 0.0)
 
 
 LOG_FACTORIAL_PAIRS = [
