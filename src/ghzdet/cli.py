@@ -39,7 +39,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     c = lhv.CorrelationSet(args.e_a, args.e_b, args.e_c, args.e_abc)
     report = lhv.check_inequalities(c)
-    witness = lhv._witness(c) if report.feasible else None
+    witness = lhv.feasible_oracle(c)  # None exactly when report says infeasible
     if args.json:
         _emit_json(
             {
@@ -204,7 +204,7 @@ _CONFIG_KEYS = {
 def _config_tokens(path: str) -> list[str]:
     """The file's key=value lines as --key=value flags for the simulate parser."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     tokens = []

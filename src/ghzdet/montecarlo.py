@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -66,7 +67,8 @@ def _require_int(name: str, value) -> None:
 class RunConfig:
     """A simulation run.  n_workers is validated but unused: the kernel runs
     in one thread, and it is kept so existing callers and config files still
-    work."""
+    work.  It is the package's one dataclass: the benchmark's traced harness
+    builds it with n_workers= and calls dataclasses.replace(cfg, n_workers=1)."""
 
     params: DetectorParams
     setting: str
@@ -86,28 +88,21 @@ class RunConfig:
             raise ValueError("n_workers must be >= 1")
 
 
-@dataclass(frozen=True)
-class RunStats:
-    n_trials: int
-    n_fourfold: int
-    n_ghz_fourfold: int
-    e_hat: Optional[float]  # None when no coincidence was observed
-    std_err: Optional[float]
-    p4_hat: float
+class RunStats(namedtuple("RunStats", "n_trials n_fourfold n_ghz_fourfold e_hat std_err p4_hat")):
+    """run's counts; e_hat and std_err are None when no fourfold was seen."""
+
+    __slots__ = ()
 
     @property
     def no_coincidences(self) -> bool:
         return self.n_fourfold == 0
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    comparable: bool
-    analytic_e: Optional[float]
-    analytic_p4: float
-    z_correlation: Optional[float]
-    z_fourfold: float
-    flagged: bool
+class ComparisonReport(namedtuple("ComparisonReport", "comparable analytic_e analytic_p4 "
+                                  "z_correlation z_fourfold flagged")):
+    """compare_analytic's model values and z-scores against them."""
+
+    __slots__ = ()
 
 
 # ln x! for x < 10, where the Stirling series below is not yet accurate.

@@ -479,6 +479,18 @@ class TestSimulate:
         assert code == 0
         assert from_file.out == from_flags.out
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        # Some editors save UTF-8 with a leading BOM; it is not part of the first key.
+        text = "d=0.5\ngamma=1e-2\npair=0.99\ntrials=100000\nseed=2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        _, from_plain = run_cli("simulate", "--config", str(plain), "--json", capsys=capsys)
+        code, from_marked = run_cli("simulate", "--config", str(marked), "--json", capsys=capsys)
+        assert code == 0, from_marked.err
+        assert from_marked.out == from_plain.out
+
     @pytest.mark.parametrize("flag", ["--pair", "--twopair"])
     def test_ratio_excludes_pair_flags(self, tmp_path, capsys, flag):
         flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")

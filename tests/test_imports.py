@@ -9,7 +9,9 @@ batch LHV masks run on plain floats, so a fresh interpreter running them never
 imports numpy.  The records are named tuples, so none of these statements
 imports dataclasses either.  `simulate` draws from the standard library's
 `random` and builds no array, so it runs without numpy in every output form,
-even where numpy cannot be imported; its RunConfig is a dataclass.
+even where numpy cannot be imported.  It does import dataclasses, for
+montecarlo's RunConfig alone: its results RunStats and ComparisonReport are
+named tuples like every other record.
 """
 
 import json

@@ -1,5 +1,11 @@
-"""The value records of lhv, detector and quantum: construction, checks,
-immutability, equality and repr."""
+"""The value records of lhv, detector, quantum and montecarlo: construction,
+checks, immutability, equality and repr.
+
+Every one is a named tuple.  The results FeasibilityReport, RunStats and
+ComparisonReport are unchecked: they are built only from values their
+function has computed.  montecarlo's RunConfig, a dataclass, is not a record
+here; tests/test_montecarlo.py checks it.
+"""
 
 import re
 
@@ -7,6 +13,7 @@ import pytest
 
 from ghzdet.detector import DetectorParams
 from ghzdet.lhv import CorrelationSet, FeasibilityReport, JointDistribution8
+from ghzdet.montecarlo import ComparisonReport, RunStats
 from ghzdet.quantum import GHZState
 
 # (record type, field names in order, valid values, defaults left out of the
@@ -23,6 +30,10 @@ RECORDS = [
      "p_pair + p_twopair = 0.75, must be 1"),
     (GHZState, ("visibility",), (), {"visibility": 1.0},
      dict(visibility=1.5), "visibility=1.5 outside [-1, 1]"),
+    (RunStats, ("n_trials", "n_fourfold", "n_ghz_fourfold", "e_hat", "std_err", "p4_hat"),
+     (1000, 10, 8, 0.6, 0.25, 0.01), {}, None, None),
+    (ComparisonReport, ("comparable", "analytic_e", "analytic_p4", "z_correlation", "z_fourfold",
+                        "flagged"), (True, 0.5, 0.0125, 0.4, -1.5, False), {}, None, None),
 ]
 
 
@@ -63,3 +74,11 @@ def test_make_and_replace_are_checked(cls, fields, values, defaults, bad, messag
         cls._make(dict(zip(fields, record), **bad).values())
     with pytest.raises(ValueError, match=re.escape(message)):
         record._replace(**bad)
+
+
+def test_no_coincidences_reads_the_fourfold_count():
+    empty = RunStats(n_trials=1000, n_fourfold=0, n_ghz_fourfold=0, e_hat=None, std_err=None,
+                     p4_hat=0.0)
+    assert empty.no_coincidences is True
+    assert empty._replace(n_fourfold=1).no_coincidences is False
+    assert isinstance(empty, tuple) and "no_coincidences" not in RunStats._fields
