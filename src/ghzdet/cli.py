@@ -114,8 +114,8 @@ def _print_correlation(payload: dict, as_json: bool) -> None:
     print(f"E = {fmt(payload['e'])}")
     print(f"sigma = {fmt(payload['sigma'])}")
     sep = payload["separation"]
-    if sep != sep:  # NaN: below the classical boundary
-        print("separation = n/a (E <= 0.5)")
+    if sep != sep:  # NaN: at or below the LHV bound
+        print(f"separation = n/a (E <= {fmt(detector.LHV_BOUND)})")
     elif sep == float("inf"):
         print("separation = saturated")
     else:
@@ -159,14 +159,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("d bounds must satisfy 0 < min <= max <= 1")
     import numpy as np
 
-    gammas = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
-    ds = np.linspace(args.d_min, args.d_max, args.d_steps)
-    grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
-    params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
-    e = detector.corrected_correlation(params, mode=args.mode)
-    # (gamma, d, [E, sigma, separation])
-    cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
-    d_text = [f"{d:.12g}" for d in ds]
+    try:
+        gammas = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+        ds = np.linspace(args.d_min, args.d_max, args.d_steps)
+        grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
+        params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
+        e = detector.corrected_correlation(params, mode=args.mode)
+        # (gamma, d, [E, sigma, separation])
+        cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
+        d_text = [f"{d:.12g}" for d in ds]
+    except MemoryError as exc:
+        raise ValueError(f"the {args.gamma_steps} x {args.d_steps} grid does not fit in memory") from exc
     # The file is opened only once the grid is computed, so a rejected input
     # leaves none.  Each gamma row is formatted and written on its own: the
     # text of one row is all the CSV that is ever in memory.

@@ -15,9 +15,10 @@ model is built from those firing probabilities:
 
 Conditioning on all four detectors firing yields the corrected conditional
 correlation, its variance, and the separation in standard deviations from
-the classical boundary 0.5.  The Monte Carlo in :mod:`ghzdet.montecarlo`
-shares only the firing probabilities and the channel table: it thins counts
-detector by detector and does not use the aggregates above.
+LHV_BOUND = 1/2, lhv's bound on F (FeasibilityReport.f_value) for the model
+tetrad.  The Monte Carlo in :mod:`ghzdet.montecarlo` shares only the firing
+probabilities and the channel table: it thins counts detector by detector and
+does not use the aggregates above.
 
 Array path: d and gamma may be arrays of one shape, a grid of detectors, and
 E, sigma and the separation then come out as arrays from the same expressions,
@@ -39,6 +40,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import lhv
+
 ARRIVAL_TAGS = (
     "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
 )
@@ -56,8 +59,7 @@ ARRIVAL_COUNTS = (
     (2, 0, 0, 0),
 )
 
-# The local-hidden-variable limit on E that the separation is measured from.
-LHV_BOUND = 0.5
+LHV_BOUND = lhv.F_BOUND / 4.0  # the model tetrad (E, E, E, -E) has F = 4E
 SEPARATION_CAP = 1e6
 PROB_TOL = 1e-12
 

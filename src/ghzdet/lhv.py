@@ -6,10 +6,12 @@ reproduces them.  The atoms' moment vectors (a, b, c, abc) are ±h_i, the rows
 of a 4x4 Hadamard matrix, so the reproducible tetrads x form the
 cross-polytope sum_i |x . h_i| <= 4 (Fine, PRL 48, 291 (1982); Werner & Wolf,
 PRA 64, 032112 (2001)).  Inside [-1, 1]^4 its facets are the four two-sided
-inequalities -2 <= ±E(A) ± E(B) ± E(C) ± E(ABC) <= 2 (odd number of minus
-signs).  They decide feasibility, and every feasible tetrad gets a closed-form
-witness.  The tests check both against an enumeration of the basic square
-subsystems of the moment equations.
+inequalities |±E(A) ± E(B) ± E(C) ± E(ABC)| <= F_BOUND = 2 (odd number of
+minus signs); the first bounds F = E(A) + E(B) + E(C) - E(ABC), reported as
+FeasibilityReport.f_value.  They decide feasibility, and every feasible tetrad
+gets a closed-form witness.  The tests check both against an enumeration of
+the basic square subsystems of the moment equations.  F_BOUND is the one
+statement of the LHV bound: detector.LHV_BOUND is derived from it.
 
 Everything runs on plain floats, with no numpy: the batch masks take any
 sequence of tetrads and return a list.  The records are immutable named
@@ -23,6 +25,7 @@ from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 SIMPLEX_TOL = 1e-12
+F_BOUND = 2.0  # the LHV bound on |F| and on each of the four inequality sums
 
 # Atom order: abc, ab'c, abc', ab'c', a'bc, a'b'c, a'bc', a'b'c'
 # (prime/bar = value -1).  ATOM_SIGNS[k] is the sign vector of atom k.
@@ -92,15 +95,11 @@ class FeasibilityReport(namedtuple("FeasibilityReport", "feasible slacks f_value
 
     slacks holds the (lower, upper) slack of each of the four inequalities,
     flattened: [lo1, up1, lo2, up2, lo3, up3, lo4, up4].  All >= 0 iff
-    feasible.
+    feasible.  f_value is F = E_A + E_B + E_C - E_ABC, the first sum: LHV
+    models bound |F| <= F_BOUND, and the GHZ tetrad gives 4.
     """
 
     __slots__ = ()
-
-
-def mermin_f(c: CorrelationSet) -> float:
-    """F = E_A + E_B + E_C - E_ABC.  LHV models bound |F| <= 2; GHZ gives 4."""
-    return c.e_a + c.e_b + c.e_c - c.e_abc
 
 
 def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
@@ -118,21 +117,21 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
     v3 = e_a - e_b + e_c + e_abc
     v4 = e_a + e_b - e_c + e_abc
     # (distance above the lower bound, distance below the upper bound) per sum
-    slacks = (v1 + 2.0, 2.0 - v1, v2 + 2.0, 2.0 - v2, v3 + 2.0, 2.0 - v3, v4 + 2.0, 2.0 - v4)
+    slacks = (v1 + F_BOUND, F_BOUND - v1, v2 + F_BOUND, F_BOUND - v2,
+              v3 + F_BOUND, F_BOUND - v3, v4 + F_BOUND, F_BOUND - v4)
     return FeasibilityReport(min(slacks) >= 0.0, slacks, v1)  # feasible, slacks, F
 
 
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
     """The closed-form witness, or None exactly when check_inequalities says infeasible.
 
-    It decides from check_inequalities' four sums v, written out and added
-    in the same order, not with sum(), which is compensated from Python 3.12.
-    |v| <= 2 holds iff both slacks v + 2 and 2 - v are >= 0: near zero they
-    are exact by Sterbenz's lemma, so rounding cannot carry them across it.
+    It decides from check_inequalities' four sums v, added in the same order.
+    |v| <= F_BOUND iff both slacks are >= 0: near zero they are exact by
+    Sterbenz's lemma, so rounding cannot carry them across it.
     """
     e_a, e_b, e_c, e_abc = c
-    if (abs(e_a + e_b + e_c - e_abc) <= 2.0 and abs(e_b - e_a + e_c + e_abc) <= 2.0
-            and abs(e_a - e_b + e_c + e_abc) <= 2.0 and abs(e_a + e_b - e_c + e_abc) <= 2.0):
+    if (abs(e_a + e_b + e_c - e_abc) <= F_BOUND and abs(e_b - e_a + e_c + e_abc) <= F_BOUND
+            and abs(e_a - e_b + e_c + e_abc) <= F_BOUND and abs(e_a + e_b - e_c + e_abc) <= F_BOUND):
         return _witness(c)
     return None
 
@@ -178,8 +177,8 @@ def feasible_mask_inequalities(tetrads: Iterable[Sequence[float]]) -> list[bool]
     gives False.
     """
     return [
-        abs(e_a + e_b + e_c - e_abc) <= 2.0 and abs(e_b - e_a + e_c + e_abc) <= 2.0
-        and abs(e_a - e_b + e_c + e_abc) <= 2.0 and abs(e_a + e_b - e_c + e_abc) <= 2.0
+        abs(e_a + e_b + e_c - e_abc) <= F_BOUND and abs(e_b - e_a + e_c + e_abc) <= F_BOUND
+        and abs(e_a - e_b + e_c + e_abc) <= F_BOUND and abs(e_a + e_b - e_c + e_abc) <= F_BOUND
         and -1.0 <= e_a <= 1.0 and -1.0 <= e_b <= 1.0 and -1.0 <= e_c <= 1.0
         and -1.0 <= e_abc <= 1.0
         for e_a, e_b, e_c, e_abc in tetrads
@@ -241,8 +240,8 @@ def construct_symmetric_joint(p: float, q: float) -> JointDistribution8:
 def epsilon_feasible(epsilon: float) -> bool:
     """LHV-compatibility of the eroded GHZ tetrad (1-eps, 1-eps, 1-eps, -1+eps).
 
-    F = 4 - 4*eps, so a joint distribution exists iff eps >= 1/2.
+    F = 4 - 4*eps, so a joint distribution exists iff eps >= 1 - F_BOUND/4 = 1/2.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside [0, 1]")
-    return epsilon >= 0.5
+    return epsilon >= 1.0 - F_BOUND / 4.0

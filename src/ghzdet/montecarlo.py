@@ -35,9 +35,7 @@ n ~ 1e14.
 Reproducibility: the kernel and the optional event log each draw from their
 own ``random.Random``, seeded with a string made of the master seed and a tag,
 so a run depends only on (config, seed) and the log leaves the statistics
-unchanged.  The kernel drew from numpy's generator before, so a fixed
-(config, seed) now gives a different result than it did then; the result is
-still deterministic, and the same on every Python version from 3.10.
+unchanged.  The result is the same on every Python version from 3.10.
 """
 
 from __future__ import annotations

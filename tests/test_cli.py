@@ -86,6 +86,12 @@ class TestCorrelation:
         assert "E = 1" in out.out
         assert "saturated" in out.out
 
+    def test_at_the_bound_names_it(self, capsys):
+        # 1:1 gives E = 1/2 = detector.LHV_BOUND, where no separation exists.
+        code, out = run_cli("correlation", "--ratio-counts", "1:1", capsys=capsys)
+        assert code == 0
+        assert out.out == "E = 0.5\nsigma = 0.866025403784\nseparation = n/a (E <= 0.5)\n"
+
     def test_bad_ratio_counts(self, capsys):
         code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
         assert code == 2
@@ -348,6 +354,28 @@ class TestSweep:
             "--ratio", "1e10", "--out", str(out_path), flag, value, capsys=capsys,
         )
         assert code == 2
+        assert not out_path.exists()
+
+    def test_grid_that_does_not_fit_in_memory(self, tmp_path):
+        # 300000 x 300000 cells need 671 GiB per array.  Under a 1 GiB
+        # address-space limit the first grid allocation fails at once, so
+        # nothing that large is ever allocated.
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            limit = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out_path = tmp_path / "big.csv"
+        proc = subprocess.run([
+            sys.executable, "-m", "ghzdet.cli", "sweep",
+            "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300000",
+            "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300000",
+            "--ratio", "1e10", "--out", str(out_path),
+        ], capture_output=True, text=True, preexec_fn=limit_address_space)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the 300000 x 300000 grid does not fit in memory\n"
+        assert proc.stdout == ""
         assert not out_path.exists()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")

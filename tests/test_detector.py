@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghzdet import detector as det
+from ghzdet import lhv
 from ghzdet.detector import DetectorParams
 
 
@@ -330,6 +331,26 @@ class TestSigma:
         e = det.corrected_correlation(DetectorParams.from_ratio(0.5, gamma, 1e10))
         assert e == pytest.approx(0.9976, abs=2e-4)
         assert det.sigma_separation(e) == pytest.approx(7.2, rel=0.05)
+
+
+class TestLhvBound:
+    # detector.LHV_BOUND is lhv's bound |F| <= F_BOUND on the model tetrad
+    # (E, E, E, -E), whose F is 4E: the two modules meet at one float.
+    ABOVE = math.nextafter(det.LHV_BOUND, 1.0)
+
+    def test_model_tetrad_feasible_up_to_the_bound(self):
+        e = det.LHV_BOUND
+        at = lhv.check_inequalities(lhv.CorrelationSet(e, e, e, -e))
+        assert at.feasible and at.f_value == lhv.F_BOUND
+        e = self.ABOVE
+        above = lhv.check_inequalities(lhv.CorrelationSet(e, e, e, -e))
+        assert not above.feasible and above.f_value == math.nextafter(lhv.F_BOUND, 4.0)
+
+    def test_separation_starts_just_above_the_bound(self):
+        assert math.isnan(det.sigma_separation(det.LHV_BOUND))
+        separation = det.sigma_separation(self.ABOVE)
+        assert 0.0 < separation < math.inf
+        assert separation == pytest.approx(1.28e-16, rel=1e-2)
 
 
 class TestGammaInversion:

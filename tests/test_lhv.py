@@ -18,7 +18,6 @@ from ghzdet.lhv import (
     epsilon_feasible,
     expectations_from_joint,
     feasible_oracle,
-    mermin_f,
 )
 
 correlations = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -131,23 +130,28 @@ def witness_moments(witness: JointDistribution8) -> list[float]:
     return [math.fsum(p * atom[k] for p, atom in zip(witness.probs, atoms)) for k in range(4)]
 
 
+def f_value(c: CorrelationSet) -> float:
+    return check_inequalities(c).f_value
+
+
 class TestMerminF:
+    # F = E_A + E_B + E_C - E_ABC, reported by check_inequalities.
     def test_ghz_tetrad(self):
-        assert mermin_f(CorrelationSet(1, 1, 1, -1)) == 4.0
+        assert f_value(CorrelationSet(1, 1, 1, -1)) == 4.0
 
     def test_zero(self):
-        assert mermin_f(CorrelationSet(0, 0, 0, 0)) == 0.0
+        assert f_value(CorrelationSet(0, 0, 0, 0)) == 0.0
 
     def test_eroded(self):
-        assert mermin_f(CorrelationSet(0.7, 0.7, 0.7, -0.7)) == pytest.approx(2.8)
+        assert f_value(CorrelationSet(0.7, 0.7, 0.7, -0.7)) == pytest.approx(2.8)
 
     @given(tetrads, tetrads, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_linearity_under_mixing(self, c1, c2, lam):
         mixed = CorrelationSet(
             *(lam * a + (1 - lam) * b for a, b in zip(c1, c2))
         )
-        expected = lam * mermin_f(c1) + (1 - lam) * mermin_f(c2)
-        assert mermin_f(mixed) == pytest.approx(expected, abs=1e-12)
+        expected = lam * f_value(c1) + (1 - lam) * f_value(c2)
+        assert f_value(mixed) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCorrelationSet:
@@ -222,7 +226,6 @@ class TestCheckInequalities:
             c = CorrelationSet(*t)
             report = check_inequalities(c)
             assert bits(report.slacks) == bits(reference_slacks(c)), t
-            assert bits([report.f_value]) == bits([mermin_f(c)]), t
             if report.feasible:
                 feasible += 1
                 assert bits(lhv._witness(c).probs) == bits(reference_witness(c)), t
@@ -396,7 +399,8 @@ class TestExpectationsFromJoint:
 
 class TestEpsilonThreshold:
     @pytest.mark.parametrize(
-        "eps,expected", [(0.0, False), (0.4, False), (0.5, True), (0.501, True), (1.0, True)]
+        "eps,expected", [(0.0, False), (0.4, False), (math.nextafter(0.5, 0.0), False),
+                         (0.5, True), (0.501, True), (1.0, True)]
     )
     def test_flip_at_one_half(self, eps, expected):
         assert epsilon_feasible(eps) is expected
