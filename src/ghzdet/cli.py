@@ -115,7 +115,7 @@ def _print_correlation(payload: dict, as_json: bool) -> None:
     print(f"sigma = {fmt(payload['sigma'])}")
     sep = payload["separation"]
     if sep != sep:  # NaN: at or below the LHV bound
-        print(f"separation = n/a (E <= {fmt(detector.LHV_BOUND)})")
+        print(f"separation = n/a (|E| <= {fmt(detector.LHV_BOUND)})")
     elif sep == float("inf"):
         print("separation = saturated")
     else:
@@ -199,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --- simulate ----------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "d", "gamma", "pair", "twopair", "ratio", "e-ghz", "setting",
+    "d", "gamma", "pair", "ratio", "e-ghz", "setting",
     "trials", "seed", "workers",
 }
 
@@ -235,19 +235,14 @@ def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     if args.seed is None:
         raise ValueError("simulate requires an explicit seed (no time-based seeding)")
 
-    pair, twopair = args.pair, args.twopair
     if args.ratio is not None:
-        if pair is not None or twopair is not None:
-            raise ValueError("give --ratio or --pair/--twopair, not both")
+        if args.pair is not None:
+            raise ValueError("give --ratio or --pair, not both")
         params = detector.DetectorParams.from_ratio(args.d, args.gamma, args.ratio, args.e_ghz)
+    elif args.pair is not None:
+        params = detector.DetectorParams(args.d, args.gamma, args.pair, 1.0 - args.pair, args.e_ghz)
     else:
-        if pair is None and twopair is None:
-            raise ValueError("simulate requires --pair, --twopair, or --ratio")
-        if pair is None:
-            pair = 1.0 - twopair
-        if twopair is None:
-            twopair = 1.0 - pair
-        params = detector.DetectorParams(args.d, args.gamma, pair, twopair, args.e_ghz)
+        raise ValueError("simulate requires --pair or --ratio")
 
     return montecarlo.RunConfig(
         params=params,
@@ -393,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--pair", type=float, help="single-pair creation probability")
-    p.add_argument("--twopair", type=float, help="two-pair creation probability")
-    p.add_argument("--ratio", type=float, help="pair-to-two-pair ratio, instead of --pair/--twopair")
+    p.add_argument("--pair", type=float, help="single-pair creation probability p (two pairs: 1 - p)")
+    p.add_argument("--ratio", type=float, help="pair-to-two-pair ratio, instead of --pair")
     p.add_argument("--e-ghz", type=float, default=1.0)
     p.add_argument("--setting", default="XYY")
     p.add_argument("--trials", type=int)

@@ -14,9 +14,9 @@ model is built from those firing probabilities:
 * P(fourfold | double pair) = (d + (1-d) gamma)^4.
 
 Conditioning on all four detectors firing yields the corrected conditional
-correlation, its variance, and the separation in standard deviations from
-LHV_BOUND = 1/2, lhv's bound on F (FeasibilityReport.f_value) for the model
-tetrad.  The Monte Carlo in :mod:`ghzdet.montecarlo` shares only the firing
+correlation, its variance, and the separation in standard deviations of |E|
+from LHV_BOUND = 1/2, lhv's bound on |F| (FeasibilityReport.f_value) for the
+model tetrad.  The Monte Carlo in :mod:`ghzdet.montecarlo` shares only the firing
 probabilities and the channel table: it thins counts detector by detector and
 does not use the aggregates above.
 
@@ -42,10 +42,8 @@ from collections import namedtuple
 
 from . import lhv
 
-ARRIVAL_TAGS = (
-    "TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3", "D1D1", "D2D2", "D3D3", "TT",
-)
-# Photon count at (T, D1, D2, D3) for each arrival channel of a single pair.
+DETECTORS = ("T", "D1", "D2", "D3")
+# Photon count at each of DETECTORS for each arrival channel of a single pair.
 ARRIVAL_COUNTS = (
     (1, 1, 0, 0),
     (1, 0, 1, 0),
@@ -58,8 +56,11 @@ ARRIVAL_COUNTS = (
     (0, 0, 0, 2),
     (2, 0, 0, 0),
 )
+# Each channel's tag names a detector once per photon on it, e.g. "D1D1".
+ARRIVAL_TAGS = tuple("".join(name * n for name, n in zip(DETECTORS, counts))
+                     for counts in ARRIVAL_COUNTS)
 
-LHV_BOUND = lhv.F_BOUND / 4.0  # the model tetrad (E, E, E, -E) has F = 4E
+LHV_BOUND = lhv.F_BOUND / 4.0  # the model tetrad (E, E, E, -E) has |F| = 4|E|
 SEPARATION_CAP = 1e6
 PROB_TOL = 1e-12
 
@@ -117,12 +118,6 @@ class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_gh
             e_ghz=e_ghz,
         )
 
-    @property
-    def ratio(self) -> float:
-        if self.p_twopair == 0.0:
-            raise ValueError("p_twopair = 0: pair-to-two-pair ratio undefined")
-        return self.p_pair / self.p_twopair
-
 
 def gamma_from_rates(dark_rate: float, window: float) -> float:
     """Dark-count probability per window, first-order in the Poisson rate.
@@ -142,7 +137,9 @@ def gamma_from_rates(dark_rate: float, window: float) -> float:
 def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
     """P(a detector fires) with 0, 1 and 2 photons on it.
 
-    Two photons register one count only if exactly one is detected.
+    Two photons fire with d (1-d), plus (1-d)^2 gamma for a dark count when
+    neither is detected.  d (1-d) is not P(exactly one of two detected), which
+    is 2 d (1-d): the click rule the term stands for is still open.
     """
     u = 1.0 - d
     return gamma, d + u * gamma, d * u + u * u * gamma
@@ -190,7 +187,7 @@ def _approx_correlation(params: DetectorParams) -> float:
     # (gamma/d)^2 as q q: d^2 alone underflows.  At ratio 0 there is no
     # background, so E = e_ghz even where gamma/d overflows.
     q = params.gamma / params.d if params.p_pair else 0.0 * params.gamma
-    return params.e_ghz / (1.0 + 6.0 * params.ratio * q * q)
+    return params.e_ghz / (1.0 + 6.0 * (params.p_pair / params.p_twopair) * q * q)
 
 
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
@@ -236,22 +233,23 @@ def sigma_of_correlation(e: float) -> float:
 
 
 def sigma_separation(e: float) -> float:
-    """(E - LHV_BOUND) / sigma(E): standard deviations above the classical limit.
+    """(|E| - LHV_BOUND) / sigma(E): standard deviations beyond the classical limit.
 
-    nan where E does not exceed LHV_BOUND, and inf once the separation exceeds
-    SEPARATION_CAP (sigma -> 0 as E -> 1, so the ratio saturates).  A float E
-    and each cell of an array E follow this one rule.
+    nan where |E| does not exceed LHV_BOUND, and inf once the separation
+    exceeds SEPARATION_CAP (sigma -> 0 as |E| -> 1, so the ratio saturates).
+    A float E and each cell of an array E follow this one rule.
     """
     sigma = sigma_of_correlation(e)
+    e = abs(e)  # the bound is on |F|, so on |E|
     if not hasattr(e, "shape"):
         if not e > LHV_BOUND:
             return math.nan
-        separation = (e - LHV_BOUND) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at E = 1
+        separation = (e - LHV_BOUND) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at |E| = 1
         return separation if separation <= SEPARATION_CAP else math.inf
     import numpy as np
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        separation = np.divide(e - LHV_BOUND, sigma)  # inf at sigma = 0, E = 1
+        separation = np.divide(e - LHV_BOUND, sigma)  # inf at sigma = 0, |E| = 1
     separation = np.where(separation <= SEPARATION_CAP, separation, np.inf)
     return np.where(e > LHV_BOUND, separation, np.nan)
 

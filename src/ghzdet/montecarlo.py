@@ -47,10 +47,10 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 from . import detector, quantum
-from .detector import ARRIVAL_COUNTS, ARRIVAL_TAGS, DetectorParams
+from .detector import ARRIVAL_COUNTS, ARRIVAL_TAGS, DETECTORS, DetectorParams
 from .quantum import ghz_state, validate_setting
 
-TWOPAIR_TAG = "TD1D2D3"
+TWOPAIR_TAG = "".join(DETECTORS)  # one photon on each detector
 EVENT_HEADER = "# creation,arrival,ghz,product"
 
 Z_FLAG_THRESHOLD = 4.0
@@ -280,6 +280,13 @@ def run(cfg: RunConfig, event_stream: Optional[IO[str]] = None) -> RunStats:
     )
 
 
+def _z(observed: float, expected: float, se: float) -> float:
+    """(observed - expected) / se; with se = 0, 0 if they agree and +-inf if not."""
+    if se > 0.0:
+        return (observed - expected) / se
+    return 0.0 if observed == expected else math.copysign(math.inf, observed - expected)
+
+
 def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XYY") -> ComparisonReport:
     """z-scores of the empirical statistics against the closed-form model.
 
@@ -290,6 +297,8 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
     spread is heavy-tailed when few minority products are expected.
     z_correlation is None, and the report not comparable, when no fourfold
     was seen or the model has no E; flagged then rests on z_fourfold alone.
+    Where the model's value has no spread (E = +-1, or p4 = 0 or 1), a z-score
+    is 0 if the run matches it and +-inf, so flagged, if not.
     """
     ideal = quantum.operator_expectation(ghz_state(), setting)
     try:
@@ -300,16 +309,11 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
         analytic_e = None
     analytic_p4 = detector.fourfold_probability(params)
     p4_se = math.sqrt(analytic_p4 * (1.0 - analytic_p4) / stats.n_trials)
-    z_fourfold = (stats.p4_hat - analytic_p4) / p4_se if p4_se > 0.0 else 0.0
+    z_fourfold = _z(stats.p4_hat, analytic_p4, p4_se)
     z_correlation = None
     if not stats.no_coincidences and analytic_e is not None:
         se = detector.sigma_of_correlation(analytic_e) / math.sqrt(stats.n_fourfold)
-        if se > 0.0:
-            z_correlation = (stats.e_hat - analytic_e) / se
-        elif stats.e_hat == analytic_e:  # |E| = 1 and every product was E
-            z_correlation = 0.0
-        else:  # |E| = 1 allows no other product
-            z_correlation = math.copysign(math.inf, stats.e_hat - analytic_e)
+        z_correlation = _z(stats.e_hat, analytic_e, se)
     flagged = abs(z_fourfold) > Z_FLAG_THRESHOLD or (
         z_correlation is not None and abs(z_correlation) > Z_FLAG_THRESHOLD)
     return ComparisonReport(

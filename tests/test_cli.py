@@ -90,7 +90,16 @@ class TestCorrelation:
         # 1:1 gives E = 1/2 = detector.LHV_BOUND, where no separation exists.
         code, out = run_cli("correlation", "--ratio-counts", "1:1", capsys=capsys)
         assert code == 0
-        assert out.out == "E = 0.5\nsigma = 0.866025403784\nseparation = n/a (E <= 0.5)\n"
+        assert out.out == "E = 0.5\nsigma = 0.866025403784\nseparation = n/a (|E| <= 0.5)\n"
+
+    def test_negative_correlation_has_a_separation(self, capsys):
+        # The LHV bound is on |E|: E = -12/13 is as far beyond it as +12/13,
+        # and `check` finds its tetrad infeasible.
+        _, neg = run_cli("correlation", "--ratio-counts", "1:12", "--e-ghz", "-1", capsys=capsys)
+        _, pos = run_cli("correlation", "--ratio-counts", "1:12", capsys=capsys)
+        assert neg.out.splitlines()[0] == "E = -0.923076923077"
+        assert neg.out.splitlines()[1:] == pos.out.splitlines()[1:]
+        assert neg.out.splitlines()[-1] == "separation = 1.1"
 
     def test_bad_ratio_counts(self, capsys):
         code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
@@ -418,7 +427,7 @@ class TestSimulate:
 
     def test_trivial_run(self, capsys):
         code, out = run_cli(
-            "simulate", "--gamma", "0", "--d", "1", "--twopair", "1",
+            "simulate", "--gamma", "0", "--d", "1", "--pair", "0",
             "--setting", "XXX", "--trials", "500", "--seed", "9", "--json",
             capsys=capsys,
         )
@@ -452,7 +461,7 @@ class TestSimulate:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(
-            "d=1.0\ngamma=0\ntwopair=1\nsetting=XXX\ntrials=200\nseed=4\n"
+            "d=1.0\ngamma=0\npair=0\nsetting=XXX\ntrials=200\nseed=4\n"
         )
         code, out = run_cli("simulate", "--config", str(config), "--json", capsys=capsys)
         assert code == 0
@@ -497,7 +506,7 @@ class TestSimulate:
         assert overridden.out != from_file.out
 
     def test_config_file_and_flags_print_identical_json(self, tmp_path, capsys):
-        values = {"d": "0.7", "gamma": "0.03", "pair": "0.6", "twopair": "0.4", "e-ghz": "0.9",
+        values = {"d": "0.7", "gamma": "0.03", "pair": "0.6", "e-ghz": "0.9",
                   "setting": "XXX", "trials": "3000", "seed": "11", "workers": "2"}
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
@@ -519,7 +528,7 @@ class TestSimulate:
         assert code == 0, from_marked.err
         assert from_marked.out == from_plain.out
 
-    @pytest.mark.parametrize("flag", ["--pair", "--twopair"])
+    @pytest.mark.parametrize("flag", ["--pair"])
     def test_ratio_excludes_pair_flags(self, tmp_path, capsys, flag):
         flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")
         code, out = run_cli("simulate", *flags, "--ratio", "99", flag, "0.5", capsys=capsys)
@@ -531,6 +540,18 @@ class TestSimulate:
                             capsys=capsys)
         assert code == 2
         assert "--ratio" in out.err and flag in out.err
+
+    def test_twopair_is_not_an_input(self, tmp_path, capsys):
+        # --pair p gives two pairs 1 - p, and --ratio is the precise form.
+        flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", *flags, "--twopair", "0.5"])
+        assert exc.value.code == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("twopair=0.5\n")
+        code, out = run_cli("simulate", "--config", str(config), *flags, capsys=capsys)
+        assert code == 2
+        assert "unknown config key 'twopair'" in out.err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ class TestParams:
         p = DetectorParams.from_ratio(0.5, 1e-6, 9.0)
         assert p.p_pair == pytest.approx(0.9)
         assert p.p_twopair == pytest.approx(0.1)
-        assert p.ratio == pytest.approx(9.0)
+        assert p.p_pair / p.p_twopair == pytest.approx(9.0)
 
     @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
     def test_from_ratio_rejects_non_finite(self, ratio):
@@ -289,7 +290,7 @@ class TestSigma:
         assert math.isnan(det.sigma_separation(0.5))
         assert math.isnan(det.sigma_separation(0.3))
 
-    # nan at and below the bound, finite above it, inf once saturated.
+    # nan where |E| is at or below the bound, finite above it, inf once saturated.
     SEPARATION_ES = [-1.0, 0.3, 0.5, 0.5 + 2**-52, 0.92, 1 - 1e-13, 1.0]
 
     def test_separation_float_equals_its_array_cell(self):
@@ -298,8 +299,18 @@ class TestSigma:
             got = det.sigma_separation(e)
             assert type(got) is float
             assert got == cell or (math.isnan(got) and math.isnan(cell)), (e, got, cell)
-        assert [math.isnan(v) for v in grid] == [True, True, True, False, False, False, False]
-        assert list(np.isinf(grid)) == [False] * 5 + [True, True]
+        assert [math.isnan(v) for v in grid] == [False, True, True, False, False, False, False]
+        assert list(np.isinf(grid)) == [True] + [False] * 4 + [True, True]
+
+    def test_separation_ignores_the_sign_of_e(self):
+        # The LHV bound is on |F|, and the model tetrad (E, E, E, -E) has
+        # |F| = 4|E|: -E lies exactly as far beyond it as E.
+        es = [0.0, 0.3, 0.5, 0.5 + 2**-52, 0.92, 1 - 1e-13, 1.0]
+        for e in es:
+            assert struct.pack("d", det.sigma_separation(-e)) == struct.pack("d", det.sigma_separation(e))
+        grid = det.sigma_separation(np.array(es))
+        assert det.sigma_separation(-np.array(es)).tobytes() == grid.tobytes()
+        assert np.isnan(grid).tolist() == [True, True, True, False, False, False, False]
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_float_chain_equals_its_grid_cell(self, mode):

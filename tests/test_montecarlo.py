@@ -174,6 +174,12 @@ class TestEventLog:
         assert {f[1] for f in fields if f[0] == "pair"} <= set(mc.ARRIVAL_TAGS)
         assert all(f[1] == "TD1D2D3" for f in fields if f[0] == "twopair")
 
+    def test_channel_tags(self):
+        # Each tag names a detector once per photon on it.
+        assert mc.ARRIVAL_TAGS == ("TD1", "TD2", "TD3", "D1D2", "D1D3", "D2D3",
+                                   "D1D1", "D2D2", "D3D3", "TT")
+        assert mc.TWOPAIR_TAG == "TD1D2D3"
+
     def test_log_does_not_change_statistics(self):
         # The log draws from its own substream.
         cfg = scaled_config(n_trials=20_000, master_seed=3)
@@ -292,6 +298,23 @@ class TestCompareAnalytic:
                                   setting)
         assert abs(report.analytic_e) == 1.0
         assert report.z_correlation == z
+        assert report.flagged == (z != 0.0)
+
+    @pytest.mark.parametrize("stats, params, z", [
+        pytest.param(mc.RunStats(1000, 500, 0, 0.0, 0.03, 0.5), DetectorParams(0, 0, 0.5, 0.5),
+                     math.inf, id="p4=0-seen"),
+        pytest.param(mc.RunStats(1000, 999, 999, 1.0, 0.0, 0.999), DetectorParams(1, 0, 0, 1),
+                     -math.inf, id="p4=1-missed"),
+        pytest.param(mc.RunStats(1000, 1000, 1000, 1.0, 0.0, 1.0), DetectorParams(1, 0, 0, 1),
+                     0.0, id="p4=1-met"),
+        pytest.param(mc.RunStats(1000, 0, 0, None, None, 0.0), DetectorParams(0, 0, 0.5, 0.5),
+                     0.0, id="p4=0-met"),
+    ])
+    def test_perfect_model_rate(self, stats, params, z):
+        # p4 = 0 or 1 has no spread either: the same rule as for |E| = 1.
+        report = compare_analytic(stats, params)
+        assert report.analytic_p4 in (0.0, 1.0)
+        assert report.z_fourfold == z
         assert report.flagged == (z != 0.0)
 
     def test_sign_follows_setting(self):
