@@ -2,9 +2,8 @@
 parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
-Numbers are printed with 12 significant digits.  numpy is imported only where
-arrays are built, in sweep, so check, construct-joint, quantum, simulate and
-correlation in every mode start without it.
+Numbers are printed with 12 significant digits.  Every subcommand runs on
+plain floats and the standard library, without numpy.
 """
 
 from __future__ import annotations
@@ -145,6 +144,24 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace, bit for bit: i*step + start, with the last value stop."""
+    step = (stop - start) / (num - 1)
+    if step:
+        return [i * step + start for i in range(num - 1)] + [stop]
+    # numpy's rule where the step underflows to 0
+    return [i / (num - 1) * (stop - start) + start for i in range(num - 1)] + [stop]
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.geomspace for 0 < start <= stop, to within an ulp, ends exact.
+
+    10**y over the linspace of the base-10 logarithms; libm's pow may round
+    a value apart from numpy's vectorised power."""
+    exponents = _linspace(math.log10(start), math.log10(stop), num)[1:-1]
+    return [start] + [10.0 ** y for y in exponents] + [stop]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.gamma_steps < 2 or args.d_steps < 2:
         raise ValueError("step counts must be >= 2")
@@ -157,32 +174,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("gamma bounds must satisfy 0 < min <= max <= 1")
     if not 0.0 < args.d_min <= args.d_max <= 1.0:
         raise ValueError("d bounds must satisfy 0 < min <= max <= 1")
-    import numpy as np
-
-    try:
-        gammas = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
-        ds = np.linspace(args.d_min, args.d_max, args.d_steps)
-        grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
-        params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, args.ratio, args.e_ghz)
-        e = detector.corrected_correlation(params, mode=args.mode)
-        # (gamma, d, [E, sigma, separation])
-        cells = np.stack((e, detector.sigma_of_correlation(e), detector.sigma_separation(e)), axis=-1)
-        d_text = [f"{d:.12g}" for d in ds]
-    except MemoryError as exc:
-        raise ValueError(f"the {args.gamma_steps} x {args.d_steps} grid does not fit in memory") from exc
-    # The file is opened only once the grid is computed, so a rejected input
-    # leaves none.  Each gamma row is formatted and written on its own: the
-    # text of one row is all the CSV that is ever in memory.
+    gammas = _geomspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+    ds = _linspace(args.d_min, args.d_max, args.d_steps)
+    # Every check runs here, before the file opens, so a rejected input
+    # leaves none.  The rows are computed and written one gamma at a time.
+    rows = detector.correlation_rows(gammas, ds, args.ratio, args.e_ghz, args.mode)
+    d_text = [fmt(d) for d in ds]
+    tails = [f",{d},%.12g,%.12g,%.12g\n" for d in d_text]  # a row is g + g.join(tails)
     try:  # open, every write and the final flush on close can fail
         with open(args.out, "w") as stream:
             stream.write("gamma,d,E,sigma,separation\n")
-            for gamma, row in zip(gammas.tolist(), cells):
-                g = f"{gamma:.12g}"
-                template = "".join(f"{g},{d},%.12g,%.12g,%.12g\n" for d in d_text)
-                stream.write(template % tuple(row.ravel().tolist()))
+            for gamma, cells in zip(gammas, rows):
+                g = fmt(gamma)
+                stream.write((g + g.join(tails)) % tuple(cells))
             if args.contour is not None:
                 stream.write(f"# contour E={args.contour:.12g}\nd,gamma\n")
-                for d, d_str in zip(ds.tolist(), d_text):
+                for d, d_str in zip(ds, d_text):
                     try:
                         g = detector.find_gamma_for_correlation(
                             d, args.ratio, args.contour, args.e_ghz

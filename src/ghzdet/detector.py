@@ -20,24 +20,17 @@ model tetrad.  The Monte Carlo in :mod:`ghzdet.montecarlo` shares only the firin
 probabilities and the channel table: it thins counts detector by detector and
 does not use the aggregates above.
 
-Array path: d and gamma may be arrays of one shape, a grid of detectors, and
-E, sigma and the separation then come out as arrays from the same expressions,
-with every check applied to every cell.  ``ghzdet sweep`` works this way.
-Anything with a ``shape`` counts as an array.
-
-Floats need no numpy: both correlation modes, sigma and the separation are
-plain Python on floats, and a float rounds exactly as its grid cell does.
-That holds because every expression is built from +, -, *, / and square
-roots, which IEEE arithmetic rounds the same in Python and in numpy: integer
-powers are written as products, and a float's square root is math.sqrt,
-as numpy's ``** 0.5`` is.  Python's ``**`` on a float calls libm's pow,
-which need not round that way.  numpy is imported only in the array branches
-of the approx correlation and of sigma_separation.
+Everything is plain Python on floats.  One private kernel per mode computes
+E along a row, at one gamma for a column of d; a single value is a row of
+one, so it rounds exactly as its cell of ``ghzdet sweep`` (correlation_rows).
+Where the signal leaves the normal range, exact mode scales d, gamma and the
+firing probabilities by a power of two, which is exact (_rescaled_correlation).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from . import lhv
@@ -63,15 +56,11 @@ ARRIVAL_TAGS = tuple("".join(name * n for name, n in zip(DETECTORS, counts))
 LHV_BOUND = lhv.F_BOUND / 4.0  # the model tetrad (E, E, E, -E) has |F| = 4|E|
 SEPARATION_CAP = 1e6
 PROB_TOL = 1e-12
-
-
-def _holds(condition) -> bool:
-    """A comparison's result for floats, or whether it holds in every cell."""
-    return bool(condition.all()) if hasattr(condition, "shape") else bool(condition)
+_LEAST_NORMAL = sys.float_info.min
 
 
 def _check_prob(name: str, value: float) -> float:
-    if not _holds((0.0 <= value) & (value <= 1.0)):
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value} outside [0, 1]")
     return value
 
@@ -82,9 +71,7 @@ def _check_e_ghz(e_ghz: float) -> None:
 
 
 class DetectorParams(namedtuple("DetectorParams", "d gamma p_pair p_twopair e_ghz")):
-    """Efficiency, dark-count probability and creation probabilities.
-
-    d and gamma may be arrays of one shape (the module's array path)."""
+    """Efficiency, dark-count probability and creation probabilities, as floats."""
 
     __slots__ = ()
 
@@ -145,21 +132,49 @@ def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
     return gamma, d + u * gamma, d * u + u * u * gamma
 
 
+def _fourfold_row(gamma: float, ds, p_pair: float, p_twopair: float) -> list[float]:
+    """[signal, P(fourfold)] at one gamma for each d in turn, as one flat list.
+
+    The union is built by u <- u + q (1 - u) from u = 0, so 1 - u stays
+    prod(1 - q) and nothing cancels where q ~ gamma^2.  It is unrolled in the
+    order of ARRIVAL_COUNTS, each q the product of fire_probabilities' values
+    left to right, so a product two channels share is computed once.
+    """
+    g2 = gamma * gamma
+    g3 = g2 * gamma
+    terms: list[float] = []
+    put = terms.append
+    for d in ds:
+        u = 1.0 - d
+        f1 = d + u * gamma
+        f2 = d * u + u * u * gamma
+        f1g = f1 * gamma
+        q_td2 = f1g * f1 * gamma  # also D1 D2
+        q_td3 = f1g * gamma * f1  # also D1 D3
+        q_d1d1 = gamma * f2 * gamma * gamma  # also T T
+        union = f1 * f1 * gamma * gamma  # T D1
+        union = union + q_td2 * (1.0 - union)
+        union = union + q_td3 * (1.0 - union)
+        union = union + q_td2 * (1.0 - union)
+        union = union + q_td3 * (1.0 - union)
+        union = union + g2 * f1 * f1 * (1.0 - union)  # D2 D3
+        union = union + q_d1d1 * (1.0 - union)
+        union = union + g2 * f2 * gamma * (1.0 - union)  # D2 D2
+        union = union + g3 * f2 * (1.0 - union)  # D3 D3
+        union = union + q_d1d1 * (1.0 - union)
+        put(p_twopair * (d * d * d * f1))
+        put(p_pair * union + p_twopair * (f1 * f1 * f1 * f1))
+    return terms
+
+
 def pair_fourfold_probability(d: float, gamma: float) -> float:
     """P(fourfold | single pair): the union of the ten arrival channels.
 
     A channel with photon counts (t, d1, d2, d3) at (T, D1, D2, D3) fires all
     four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
-    of the other channels, so the union is 1 - prod(1 - q).  It is built by
-    u <- u + q (1 - u) from u = 0, since 1 - u then stays prod(1 - q): every
-    term is nonnegative, so nothing cancels where q ~ gamma^2, as it would in
-    1 - prod(1 - q) taken literally.
+    of the other channels, so the union is 1 - prod(1 - q).
     """
-    fire = fire_probabilities(d, gamma)
-    union = 0.0
-    for t, d1, d2, d3 in ARRIVAL_COUNTS:
-        union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - union)
-    return union
+    return _fourfold_row(gamma, (d,), 1.0, 0.0)[1]
 
 
 def signal_probability(params: DetectorParams) -> float:
@@ -167,8 +182,7 @@ def signal_probability(params: DetectorParams) -> float:
 
     D1..D3 fire on their photons; T fires on its photon or a dark count.
     """
-    d = params.d
-    return params.p_twopair * (d * d * d * fire_probabilities(d, params.gamma)[1])
+    return _fourfold_row(params.gamma, (params.d,), params.p_pair, params.p_twopair)[0]
 
 
 def fourfold_probability(params: DetectorParams) -> float:
@@ -177,17 +191,48 @@ def fourfold_probability(params: DetectorParams) -> float:
     A double pair puts one photon on each detector, so it is a fourfold with
     probability (d + (1-d) gamma)^4, of which signal_probability is a part.
     """
-    fire1 = fire_probabilities(params.d, params.gamma)[1]
-    return params.p_pair * pair_fourfold_probability(
-        params.d, params.gamma
-    ) + params.p_twopair * (fire1 * fire1 * fire1 * fire1)
+    return _fourfold_row(params.gamma, (params.d,), params.p_pair, params.p_twopair)[1]
 
 
-def _approx_correlation(params: DetectorParams) -> float:
-    # (gamma/d)^2 as q q: d^2 alone underflows.  At ratio 0 there is no
-    # background, so E = e_ghz even where gamma/d overflows.
-    q = params.gamma / params.d if params.p_pair else 0.0 * params.gamma
-    return params.e_ghz / (1.0 + 6.0 * (params.p_pair / params.p_twopair) * q * q)
+def _rescaled_correlation(d: float, gamma: float, p_pair: float, p_twopair: float,
+                          e_ghz: float) -> float:
+    """Exact E of a cell whose signal is below the normal range.
+
+    d and the firing probabilities are divided by 2^k, k the exponent of
+    max(d, gamma) but never above 0, and the union is built in units of
+    2^-4k with each (1 - u) taken in true units.  The double pair then fires
+    with at least p_twopair / 16, so only a p_twopair that small underflows.
+    """
+    k = min(math.frexp(max(d, gamma))[1], 0)
+    fire = [math.ldexp(f, -k) for f in fire_probabilities(d, gamma)]
+    d = math.ldexp(d, -k)
+    union = 0.0
+    for t, d1, d2, d3 in ARRIVAL_COUNTS:
+        union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - math.ldexp(union, 4 * k))
+    p4 = p_pair * union + p_twopair * (fire[1] * fire[1] * fire[1] * fire[1])
+    if not p4 > 0.0:
+        raise ValueError("fourfold probability underflows to 0, correlation undefined")
+    return e_ghz * (p_twopair * (d * d * d * fire[1])) / p4
+
+
+def _exact_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
+    terms = iter(_fourfold_row(gamma, ds, p_pair, p_twopair))
+    # The signal is at most P(fourfold), so a normal signal leaves no 0 / 0.
+    return [e_ghz * signal / p4 if signal >= _LEAST_NORMAL
+            else _rescaled_correlation(d, gamma, p_pair, p_twopair, e_ghz)
+            for d, signal, p4 in zip(ds, terms, terms)]
+
+
+def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
+    # (gamma/d)^2 as q q: d^2 alone underflows.  At ratio 0 or gamma 0 there
+    # is no background, so E = e_ghz even where gamma/d or the ratio overflows.
+    if not (p_pair and gamma):
+        return [float(e_ghz)] * len(ds)
+    dilution = 6.0 * (p_pair / p_twopair)
+    return [e_ghz / (1.0 + dilution * (q := gamma / d) * q) for d in ds]
+
+
+_ROWS = {"approx": _approx_row, "exact": _exact_row}
 
 
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
@@ -198,23 +243,13 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
     mode="exact": e_ghz * P(correlated fourfold) / P(fourfold), from the full
     model.  Uncorrelated fourfolds contribute zero either way.
     """
-    if not _holds(params.d > 0.0):
+    if not params.d > 0.0:
         raise ValueError("d = 0: no photon is ever detected, correlation undefined")
     if params.p_twopair == 0.0:
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
-    if mode == "approx":
-        if not hasattr(params.d, "shape"):
-            return _approx_correlation(params)
-        import numpy as np
-
-        with np.errstate(over="ignore"):  # E = 0 where (gamma/d)^2 overflows
-            return _approx_correlation(params)
-    if mode == "exact":
-        p4 = fourfold_probability(params)
-        if not _holds(p4 > 0.0):
-            raise ValueError("fourfold probability underflows to 0, correlation undefined")
-        return params.e_ghz * signal_probability(params) / p4
-    raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    if mode not in _ROWS:
+        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    return _ROWS[mode](params.gamma, (params.d,), params.p_pair, params.p_twopair, params.e_ghz)[0]
 
 
 def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
@@ -225,11 +260,24 @@ def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
     return e_ghz / (1.0 + r)
 
 
+def _cells(es) -> list[float]:
+    """[E, sigma, separation] for each E in turn, as one flat list."""
+    cells: list[float] = []
+    put = cells.extend
+    for e in es:
+        if not -1.0 <= e <= 1.0:  # negated, so that a NaN fails it
+            raise ValueError(f"correlation {e} outside [-1, 1]")
+        sigma = math.sqrt(1.0 - e * e)
+        excess = abs(e) - LHV_BOUND  # the bound is on |F|, so on |E|; exact
+        separation = (math.nan if not excess > 0.0 else excess / sigma if sigma > 0.0
+                      else math.inf)  # sigma = 0 at |E| = 1
+        put((e, sigma, math.inf if separation > SEPARATION_CAP else separation))
+    return cells
+
+
 def sigma_of_correlation(e: float) -> float:
     """Standard deviation sqrt(1 - E^2) of a ±1 variable with mean E."""
-    if not _holds((-1.0 <= e) & (e <= 1.0)):  # negated, so that a NaN fails it
-        raise ValueError(f"correlation {e} outside [-1, 1]")
-    return (1.0 - e * e) ** 0.5 if hasattr(e, "shape") else math.sqrt(1.0 - e * e)
+    return _cells((e,))[1]
 
 
 def sigma_separation(e: float) -> float:
@@ -237,21 +285,23 @@ def sigma_separation(e: float) -> float:
 
     nan where |E| does not exceed LHV_BOUND, and inf once the separation
     exceeds SEPARATION_CAP (sigma -> 0 as |E| -> 1, so the ratio saturates).
-    A float E and each cell of an array E follow this one rule.
     """
-    sigma = sigma_of_correlation(e)
-    e = abs(e)  # the bound is on |F|, so on |E|
-    if not hasattr(e, "shape"):
-        if not e > LHV_BOUND:
-            return math.nan
-        separation = (e - LHV_BOUND) / sigma if sigma > 0.0 else math.inf  # sigma = 0 at |E| = 1
-        return separation if separation <= SEPARATION_CAP else math.inf
-    import numpy as np
+    return _cells((e,))[2]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        separation = np.divide(e - LHV_BOUND, sigma)  # inf at sigma = 0, |E| = 1
-    separation = np.where(separation <= SEPARATION_CAP, separation, np.inf)
-    return np.where(e > LHV_BOUND, separation, np.nan)
+
+def correlation_rows(gammas, ds, ratio: float, e_ghz: float = 1.0, mode: str = "approx"):
+    """[E, sigma, separation] of every d in turn, for each gamma in turn.
+
+    Each cell is bit for bit what corrected_correlation, sigma_of_correlation
+    and sigma_separation give for it.  Every input is checked once per grid,
+    in this call, so a rejected grid raises before the first row is made.
+    """
+    for gamma in gammas:
+        _check_prob("gamma", gamma)
+    least = DetectorParams.from_ratio(min(_check_prob("d", d) for d in ds), 0.0, ratio, e_ghz)
+    corrected_correlation(least, mode)  # checks d > 0 and the mode
+    row = _ROWS[mode]
+    return (_cells(row(g, ds, least.p_pair, least.p_twopair, e_ghz)) for g in gammas)
 
 
 def find_gamma_for_correlation(

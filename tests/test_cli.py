@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from ghzdet import cli, detector
@@ -138,6 +137,15 @@ class TestCorrelation:
         e = json.loads(out.out)["e"]
         assert e == (1.0 if gamma == "0" or ratio == "0" else 0.0)
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_no_darks_at_a_huge_ratio(self, capsys, mode):
+        # 6 p_pair / p_twopair overflows to inf at ratio 1e308, and inf * 0
+        # once made the approx E nan: "correlation nan outside [-1, 1]".
+        code, out = run_cli("correlation", "--d", "0.5", "--gamma", "0", "--ratio", "1e308",
+                            "--mode", mode, "--json", capsys=capsys)
+        assert code == 0, out.err
+        assert json.loads(out.out)["e"] == 1.0
+
     @pytest.mark.parametrize(
         "rate, window, field",
         [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],
@@ -183,8 +191,8 @@ class TestSweep:
         )
         assert code == 0
         expected = []
-        for gamma in np.geomspace(1e-13, 1e-3, 6):
-            for d in np.linspace(0.1, 1.0, 4):
+        for gamma in cli._geomspace(1e-13, 1e-3, 6):
+            for d in cli._linspace(0.1, 1.0, 4):
                 params = detector.DetectorParams.from_ratio(float(d), float(gamma), 1e10)
                 e = detector.corrected_correlation(params, mode=mode)
                 sigma = detector.sigma_of_correlation(e)
@@ -195,9 +203,10 @@ class TestSweep:
         assert {row.rsplit(",", 1)[1] for row in rows} >= {"nan", "inf"}
 
     def test_csv_equals_the_per_cell_reference(self, tmp_path, capsys):
-        # One f-string per cell, from the same arrays, is the reference for the
-        # whole file.  The grid holds nan separations (E <= 0.5 at gamma =
-        # 1e-3), a saturated one (inf at gamma = 1e-12, d = 0.9) and the contour.
+        # One f-string per cell, from the float functions on the same axes, is
+        # the reference for the whole file.  The grid holds nan separations
+        # (E <= 0.5 at gamma = 1e-3), a saturated one (inf at gamma = 1e-12,
+        # d = 0.9) and the contour.
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(
             "sweep", "--gamma-min", "1e-12", "--gamma-max", "1e-3", "--gamma-steps", "7",
@@ -205,31 +214,43 @@ class TestSweep:
             "--contour", "0.92", "--out", str(out_path), capsys=capsys,
         )
         assert code == 0
-        gammas = np.geomspace(1e-12, 1e-3, 7)
-        ds = np.linspace(0.1, 0.9, 5)
-        grid_gamma, grid_d = np.meshgrid(gammas, ds, indexing="ij")
-        params = detector.DetectorParams.from_ratio(grid_d, grid_gamma, 1e10)
-        e = detector.corrected_correlation(params)
-        sigma, sep = detector.sigma_of_correlation(e), detector.sigma_separation(e)
+        gammas, ds = cli._geomspace(1e-12, 1e-3, 7), cli._linspace(0.1, 0.9, 5)
         lines = ["gamma,d,E,sigma,separation"]
-        for i, gamma in enumerate(gammas):
-            for j, d in enumerate(ds):
-                cell = (e[i, j], sigma[i, j], sep[i, j])
+        for gamma in gammas:
+            for d in ds:
+                e = detector.corrected_correlation(detector.DetectorParams.from_ratio(d, gamma, 1e10))
+                cell = (e, detector.sigma_of_correlation(e), detector.sigma_separation(e))
                 lines.append(f"{gamma:.12g},{d:.12g},{cell[0]:.12g},{cell[1]:.12g},{cell[2]:.12g}")
         lines += ["# contour E=0.92", "d,gamma"]
-        lines += [f"{d:.12g},{detector.find_gamma_for_correlation(float(d), 1e10, 0.92):.12g}"
+        lines += [f"{d:.12g},{detector.find_gamma_for_correlation(d, 1e10, 0.92):.12g}"
                   for d in ds]
         text = out_path.read_text()
         assert text == "\n".join(lines) + "\n"
         assert lines[5].startswith("1e-12,0.9,") and lines[5].endswith(",inf")
         assert lines[35].startswith("0.001,") and lines[35].endswith(",nan")
 
+    @pytest.mark.parametrize("start, stop, num", [
+        (1e-8, 1e-5, 300), (0.3, 0.9, 300), (1e-12, 1e-3, 7), (0.5, 0.5, 2), (1e-3, 1.0, 3),
+        (1e-310, 1.0, 5), (5e-324, 1e-323, 4), (1e-100, 1e-80, 3),
+    ])
+    def test_axes_follow_numpy(self, start, stop, num):
+        # numpy is the reference here only.  The d axis is linspace bit for
+        # bit, the subnormal step that underflows to 0 included; the gamma
+        # axis is geomspace to one ulp, since libm's pow and numpy's may round
+        # apart, with both ends exact.
+        np = pytest.importorskip("numpy")
+        assert cli._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+        gammas, want = cli._geomspace(start, stop, num), np.geomspace(start, stop, num).tolist()
+        assert (gammas[0], gammas[-1]) == (start, stop) and len(gammas) == num
+        for got, ref in zip(gammas, want):
+            assert got == ref or math.nextafter(got, ref) == ref, (got, ref)
+
     @pytest.mark.parametrize("d_min, ratio, e_tiny",
                              [("1e-170", "1e10", "0"), ("1e-310", "1e10", "0"), ("1e-310", "0", "1")])
     def test_tiny_efficiency_is_quiet(self, tmp_path, capsys, d_min, ratio, e_tiny):
         # (gamma/d)^2 overflows at d = 1e-170 and gamma/d at d = 1e-310: E is
-        # 0 there with a background and e_ghz without one, and numpy says
-        # nothing on stderr.
+        # 0 there with a background and e_ghz without one, and nothing is
+        # said on stderr.
         out_path = tmp_path / "sweep.csv"
         code, out = run_cli(
             "sweep", "--gamma-min", "1e-3", "--gamma-max", "1", "--gamma-steps", "2",
@@ -354,8 +375,8 @@ class TestSweep:
         ("--d-min", "0"), ("--gamma-steps", "1"),
     ])
     def test_rejected_grid_writes_no_file(self, tmp_path, capsys, flag, value):
-        # The file is opened only after the whole grid is computed.  The
-        # flag comes last, and argparse keeps the last value given.
+        # The file is opened only after every check of the grid.  The flag
+        # comes last, and argparse keeps the last value given.
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(
             "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
@@ -365,27 +386,52 @@ class TestSweep:
         assert code == 2
         assert not out_path.exists()
 
-    def test_grid_that_does_not_fit_in_memory(self, tmp_path):
-        # 300000 x 300000 cells need 671 GiB per array.  Under a 1 GiB
-        # address-space limit the first grid allocation fails at once, so
-        # nothing that large is ever allocated.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_huge_grid_fails_at_the_first_write(self):
+        # 300000 x 300000 cells: the sweep holds only the two axes and one
+        # gamma row, so under a 1 GiB address-space limit it computes the
+        # first row and stops at once where /dev/full refuses the write.
         resource = pytest.importorskip("resource")
 
         def limit_address_space():
             limit = 1 << 30
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        out_path = tmp_path / "big.csv"
         proc = subprocess.run([
             sys.executable, "-m", "ghzdet.cli", "sweep",
             "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300000",
             "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300000",
-            "--ratio", "1e10", "--out", str(out_path),
-        ], capture_output=True, text=True, preexec_fn=limit_address_space)
+            "--ratio", "1e10", "--mode", "exact", "--out", "/dev/full",
+        ], capture_output=True, text=True, preexec_fn=limit_address_space, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr == "error: the 300000 x 300000 grid does not fit in memory\n"
+        assert proc.stderr.startswith("error: cannot write /dev/full: ")
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
-        assert not out_path.exists()
+
+    def test_exact_sweep_at_tiny_d_and_gamma(self, tmp_path, capsys):
+        # The signal leaves the normal range on this grid; the exact sweep
+        # once stopped with "fourfold probability underflows" (exit 2).
+        mpmath = pytest.importorskip("mpmath")
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli(
+            "sweep", "--gamma-min", "1e-100", "--gamma-max", "1e-80", "--gamma-steps", "3",
+            "--d-min", "1e-100", "--d-max", "1e-80", "--d-steps", "3",
+            "--ratio", "1e10", "--mode", "exact", "--out", str(out_path), capsys=capsys,
+        )
+        assert (code, out.err) == (0, "")
+        rows = [list(map(float, row.split(","))) for row in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        p_pair, p_twopair = 1e10 / (1.0 + 1e10), 1.0 / (1.0 + 1e10)
+        with mpmath.workdps(60):
+            for gamma, d, e, _, _ in rows:
+                md, mg = mpmath.mpf(d), mpmath.mpf(gamma)
+                fire = (mg, md + (1 - md) * mg, md * (1 - md) + (1 - md) ** 2 * mg)
+                union = mpmath.mpf(0)
+                for t, d1, d2, d3 in detector.ARRIVAL_COUNTS:
+                    union += fire[t] * fire[d1] * fire[d2] * fire[d3] * (1 - union)
+                want = p_twopair * md**3 * fire[1] / (p_pair * union + p_twopair * fire[1] ** 4)
+                # The CSV prints 12 digits of E, gamma and d.
+                assert e == pytest.approx(float(want), rel=1e-10), (gamma, d)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     @pytest.mark.parametrize("mode", ["approx", "exact"])
@@ -396,7 +442,6 @@ class TestSweep:
         # own peak; ru_maxrss would carry the parent's peak into the child.
         script = (
             "import sys\n"
-            "import numpy\n"
             "from ghzdet import cli\n"
             "def hwm():\n"
             "    with open('/proc/self/status') as f:\n"

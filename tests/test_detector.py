@@ -66,6 +66,25 @@ def twopair(d, gamma):
     return DetectorParams(d, gamma, 0.0, 1.0)
 
 
+def exact_e_reference(params):
+    """The exact E of params at 60 digits, its union by the same recurrence."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        d, g = mpmath.mpf(params.d), mpmath.mpf(params.gamma)
+        p_pair, p_twopair = mpmath.mpf(params.p_pair), mpmath.mpf(params.p_twopair)
+        fire = (g, d + (1 - d) * g, d * (1 - d) + (1 - d) ** 2 * g)
+        union = mpmath.mpf(0)
+        for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
+            union += fire[t] * fire[d1] * fire[d2] * fire[d3] * (1 - union)
+        signal = p_twopair * d**3 * fire[1]
+        return float(params.e_ghz * signal / (p_pair * union + p_twopair * fire[1] ** 4))
+
+
+def bits(values):
+    """The IEEE bytes of each float, so that nan equals nan and 0.0 differs from -0.0."""
+    return [struct.pack("d", v) for v in values]
+
+
 # A fixed grid with the corners (0, 1) and (1, 0) and the paper's (0.5, 6e-7).
 UNION_DS = (0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
 UNION_GAMMAS = (0.0, 1e-12, 1e-9, 6e-7, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0)
@@ -129,11 +148,23 @@ class TestPairProbabilities:
                 assert abs(got - want) <= 4e-15 * want, (d, g, got, float(want))
 
     def test_float_equals_its_grid_cell(self):
-        grid_g, grid_d = np.meshgrid(UNION_GAMMAS, UNION_DS, indexing="ij")
-        grid = det.pair_fourfold_probability(grid_d, grid_g)
-        for i, g in enumerate(UNION_GAMMAS):
+        # The row kernel unrolls the union; each cell of a row, and each float,
+        # equals the recurrence over ARRIVAL_COUNTS written out as a loop, bit
+        # for bit, and the signal and the double-pair term likewise.
+        for g in UNION_GAMMAS:
+            row = det._fourfold_row(g, UNION_DS, 0.25, 0.75)
             for j, d in enumerate(UNION_DS):
-                assert det.pair_fourfold_probability(d, g) == grid[i, j], (d, g)
+                fire = det.fire_probabilities(d, g)
+                union = 0.0
+                for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
+                    union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - union)
+                f1 = fire[1]
+                want = (0.75 * (d * d * d * f1), 0.25 * union + 0.75 * (f1 * f1 * f1 * f1))
+                assert bits(row[2 * j : 2 * j + 2]) == bits(want), (d, g)
+                assert bits([det.pair_fourfold_probability(d, g)]) == bits([union]), (d, g)
+                params = DetectorParams(d, g, 0.25, 0.75)
+                assert bits([det.signal_probability(params), det.fourfold_probability(params)]) \
+                    == bits(want), (d, g)
 
 
 class TestQuadrupleProbabilities:
@@ -181,9 +212,36 @@ class TestCorrectedCorrelation:
             det.corrected_correlation(DetectorParams(0.5, 1e-7, 1.0, 0.0))
 
     def test_underflowing_fourfold_rejected(self):
-        # d^4 underflows to 0: the exact E would be 0/0.
+        # Rescaled, a double pair fires with at least p_twopair / 16, which
+        # underflows to 0 only for a p_twopair of a few least floats.  With no
+        # darks there is no single-pair fourfold either, so the computed P(fourfold)
+        # is 0: the call raises ValueError rather than dividing 0 by 0.
         with pytest.raises(ValueError, match="underflows"):
-            det.corrected_correlation(DetectorParams(1e-100, 0.0, 0.5, 0.5), "exact")
+            det.corrected_correlation(DetectorParams(0.5, 0.0, 1.0, 5e-324), "exact")
+
+    @pytest.mark.parametrize("d, gamma, want", [
+        (1e-80, 1e-80, 6.24999999969e-12), (1e-100, 1e-100, 6.24999999969e-12), (1e-100, 0.0, 1.0),
+    ])
+    def test_exact_at_tiny_d_and_gamma(self, d, gamma, want):
+        # The signal p_twopair d^3 (d + (1-d) gamma) leaves the normal range
+        # here; it once gave E = 0 (first case) or a 0/0 rejection.
+        p = DetectorParams.from_ratio(d, gamma, 1e10)
+        e = det.corrected_correlation(p, "exact")
+        assert e == pytest.approx(exact_e_reference(p), rel=1e-14, abs=0)
+        assert e == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("ratio", [1e10, 1.0, 1e300])
+    @pytest.mark.parametrize("shape", [(1.0, 1.0), (1.0, 0.0), (1.0, 1e-3), (1e-3, 1.0), (0.3, 0.7)])
+    def test_exact_across_the_normal_range(self, ratio, shape):
+        # d and gamma shrink together by powers of ten, through the scale
+        # where the signal leaves the normal range, and down to subnormal d.
+        for exponent in range(0, 330, 10):
+            d, gamma = (x * 10.0 ** -exponent for x in shape)
+            if d == 0.0:
+                continue
+            p = DetectorParams.from_ratio(d, gamma, ratio)
+            e = det.corrected_correlation(p, "exact")
+            assert e == pytest.approx(exact_e_reference(p), rel=1e-13, abs=0), (exponent, e)
 
     def test_mode_agreement_in_reported_regime(self):
         for gamma in (1e-7, 1e-6, 1e-5):
@@ -273,8 +331,7 @@ class TestSigma:
                 4 * p_plus * (1 - p_plus), abs=1e-12
             )
 
-    @pytest.mark.parametrize("e", [math.nan, 1.0 + 2**-52, -1.5,
-                                   np.array([0.5, math.nan]), np.array([0.5, 1.5])])
+    @pytest.mark.parametrize("e", [math.nan, 1.0 + 2**-52, -1.5])
     def test_sigma_rejects_outside_the_unit_interval(self, e):
         with pytest.raises(ValueError, match="outside \\[-1, 1\\]"):
             det.sigma_of_correlation(e)
@@ -293,14 +350,15 @@ class TestSigma:
     # nan where |E| is at or below the bound, finite above it, inf once saturated.
     SEPARATION_ES = [-1.0, 0.3, 0.5, 0.5 + 2**-52, 0.92, 1 - 1e-13, 1.0]
 
-    def test_separation_float_equals_its_array_cell(self):
-        grid = det.sigma_separation(np.array(self.SEPARATION_ES))
-        for e, cell in zip(self.SEPARATION_ES, grid.tolist()):
+    def test_separation_float_equals_its_row_cell(self):
+        row = det._cells(self.SEPARATION_ES)
+        assert bits(row[0::3]) == bits(self.SEPARATION_ES)
+        for e, sigma, separation in zip(*[iter(row)] * 3):
             got = det.sigma_separation(e)
             assert type(got) is float
-            assert got == cell or (math.isnan(got) and math.isnan(cell)), (e, got, cell)
-        assert [math.isnan(v) for v in grid] == [False, True, True, False, False, False, False]
-        assert list(np.isinf(grid)) == [True] + [False] * 4 + [True, True]
+            assert bits([det.sigma_of_correlation(e), got]) == bits([sigma, separation]), e
+        assert [math.isnan(v) for v in row[2::3]] == [False, True, True, False, False, False, False]
+        assert [math.isinf(v) for v in row[2::3]] == [True] + [False] * 4 + [True, True]
 
     def test_separation_ignores_the_sign_of_e(self):
         # The LHV bound is on |F|, and the model tetrad (E, E, E, -E) has
@@ -308,34 +366,33 @@ class TestSigma:
         es = [0.0, 0.3, 0.5, 0.5 + 2**-52, 0.92, 1 - 1e-13, 1.0]
         for e in es:
             assert struct.pack("d", det.sigma_separation(-e)) == struct.pack("d", det.sigma_separation(e))
-        grid = det.sigma_separation(np.array(es))
-        assert det.sigma_separation(-np.array(es)).tobytes() == grid.tobytes()
-        assert np.isnan(grid).tolist() == [True, True, True, False, False, False, False]
+        row = det._cells(es)
+        assert bits(det._cells([-e for e in es])[2::3]) == bits(row[2::3])
+        assert [math.isnan(v) for v in row[2::3]] == [True, True, True, False, False, False, False]
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_float_chain_equals_its_grid_cell(self, mode):
         # E, sigma and the separation of each float (d, gamma), bit for bit
-        # against the same cell of one grid.  The grid strides the 300x300
+        # against the same cell of one sweep grid.  The grid strides the 300x300
         # sweep in bench/workloads.py and keeps its row 285, where glibc's
         # pow(g, 2) and g*g differ.  gamma = 1e-2 puts E below the bound
         # (separation nan), gamma = 1e-13 puts 1 - E below 1e-13 (inf).
         # (gamma/d)^2 overflows at d = 1e-170, and at d = 1e-310 so does
         # gamma/d; at ratio 0 there is no background to overflow.
-        gammas = np.concatenate(([1e-13], np.geomspace(1e-8, 1e-5, 300)[::15], [1e-2, 1.0]))
-        ds = np.concatenate(([1e-310, 1e-170], np.linspace(0.3, 0.9, 300)[::2]))
-        grid_g, grid_d = np.meshgrid(gammas, ds, indexing="ij")
+        gammas = [1e-13] + np.geomspace(1e-8, 1e-5, 300)[::15].tolist() + [1e-2, 1.0]
+        ds = [1e-310, 1e-170] + np.linspace(0.3, 0.9, 300)[::2].tolist()
         for ratio in (1e10, 0.0):
-            e = det.corrected_correlation(DetectorParams.from_ratio(grid_d, grid_g, ratio), mode)
-            cells = np.stack((e, det.sigma_of_correlation(e), det.sigma_separation(e)), axis=-1)
-            floats = np.empty_like(cells)
-            for i, g in enumerate(gammas.tolist()):
-                for j, d in enumerate(ds.tolist()):
-                    e_f = det.corrected_correlation(DetectorParams.from_ratio(d, g, ratio), mode)
-                    floats[i, j] = e_f, det.sigma_of_correlation(e_f), det.sigma_separation(e_f)
+            rows = list(det.correlation_rows(gammas, ds, ratio, mode=mode))
+            assert len(rows) == len(gammas) and {len(row) for row in rows} == {3 * len(ds)}
             if ratio:
-                assert np.isnan(cells[..., 2]).any() and np.isinf(cells[..., 2]).any()
-            differ = ~((floats == cells) | (np.isnan(floats) & np.isnan(cells)))
-            assert differ.sum(axis=(0, 1)).tolist() == [0, 0, 0], ratio  # E, sigma, separation
+                separations = [v for row in rows for v in row[2::3]]
+                assert any(map(math.isnan, separations)) and any(map(math.isinf, separations))
+            for g, row in zip(gammas, rows):
+                floats = []
+                for d in ds:
+                    e = det.corrected_correlation(DetectorParams.from_ratio(d, g, ratio), mode)
+                    floats += [e, det.sigma_of_correlation(e), det.sigma_separation(e)]
+                assert bits(row) == bits(floats), (ratio, g)
 
     def test_reduced_dark_rate_scenario(self):
         gamma = det.gamma_from_rates(50, 2e-9)

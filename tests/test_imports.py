@@ -1,17 +1,17 @@
-"""numpy is imported only where there are arrays, and dataclasses only by the
-simulation.
+"""No subcommand imports numpy, and only the simulation imports dataclasses.
 
 `import ghzdet` loads lhv, detector and quantum; the simulation,
 ghzdet.montecarlo, is imported by name.
 
-`check`, `construct-joint`, every form of `correlation`, `quantum` and the
-batch LHV masks run on plain floats, so a fresh interpreter running them never
-imports numpy.  The records are named tuples, so none of these statements
-imports dataclasses either.  `simulate` draws from the standard library's
-`random` and builds no array, so it runs without numpy in every output form,
-even where numpy cannot be imported.  It does import dataclasses, for
-montecarlo's RunConfig alone: its results RunStats and ComparisonReport are
-named tuples like every other record.
+`check`, `construct-joint`, every form of `correlation`, `sweep` in both
+modes, `quantum` and the batch LHV masks run on plain floats, so a fresh
+interpreter running them never imports numpy.  The records are named tuples,
+so none of these statements imports dataclasses either.  `simulate` draws
+from the standard library's `random` and builds no array, so it runs without
+numpy in every output form, and it and `sweep` run even where numpy cannot
+be imported.  `simulate` does import dataclasses, for montecarlo's RunConfig
+alone: its results RunStats and ComparisonReport are named tuples like every
+other record.  Only quantum.sample_many still imports numpy.
 """
 
 import json
@@ -26,6 +26,12 @@ def cli_call(*argv: str) -> str:
     return f"from ghzdet import cli; cli.main({list(argv)!r})"
 
 
+# The benchmark's 300 x 300 sweep, written to the null device.
+SWEEP = ("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300",
+         "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300", "--ratio", "1e10",
+         "--out", os.devnull)
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -37,13 +43,16 @@ def cli_call(*argv: str) -> str:
         cli_call("correlation", "--ratio-counts", "1:12"),
         cli_call("correlation", "--d", "0.5", "--gamma", "6e-7", "--mode", "exact", "--json"),
         cli_call("quantum", "XXX"),
+        cli_call(*SWEEP, "--contour", "0.92"),
+        cli_call(*SWEEP, "--mode", "exact"),
         "from ghzdet import lhv\n"
         "tetrads = [(1.0, 1.0, 1.0, -1.0), (0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)]\n"
         "assert lhv.feasible_mask_oracle(tetrads) == [False, True, True]\n"
         "assert lhv.feasible_mask_inequalities(tetrads) == [False, True, True]",
     ],
     ids=["import", "check-json", "check-feasible", "construct-joint", "correlation-rates",
-         "correlation-ratio-counts", "correlation-exact", "quantum", "batch-masks"],
+         "correlation-ratio-counts", "correlation-exact", "quantum", "sweep-approx-contour",
+         "sweep-exact", "batch-masks"],
 )
 def test_numpy_not_imported(statement):
     script = (f"import sys\n{statement}\n"
@@ -87,3 +96,14 @@ def test_simulate_runs_where_numpy_cannot_be_imported():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_trials"] == 1_000_000
+
+
+@pytest.mark.parametrize("argv", [SWEEP + ("--contour", "0.92"), SWEEP + ("--mode", "exact")],
+                         ids=["approx-contour", "exact"])
+def test_sweep_runs_where_numpy_cannot_be_imported(argv):
+    script = ("import sys\nsys.modules['numpy'] = None\nfrom ghzdet import cli\n"
+              f"sys.exit(cli.main({list(argv)!r}))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote 90000 rows to {os.devnull}\n"
