@@ -3,19 +3,21 @@ parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
 Numbers are printed with 12 significant digits.  Every subcommand runs on
-plain floats and the standard library, without numpy.
+plain floats and the standard library, without numpy, and imports only the
+layers it runs: check and construct-joint use lhv alone, correlation and
+sweep add detector, quantum adds quantum, and simulate adds detector,
+quantum and montecarlo.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import detector, lhv, quantum
+from . import lhv
 
 if TYPE_CHECKING:
     from . import montecarlo
@@ -30,6 +32,8 @@ def fmt(x: float) -> str:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload))
 
 
@@ -93,6 +97,8 @@ def _parse_ratio_counts(text: str) -> float:
 
 
 def _resolve_gamma(args: argparse.Namespace) -> float:
+    from . import detector
+
     if args.gamma is not None:
         if args.dark_rate is not None or args.window is not None:
             raise ValueError("give --gamma or --dark-rate/--window, not both")
@@ -107,6 +113,8 @@ def _resolve_gamma(args: argparse.Namespace) -> float:
 
 
 def _print_correlation(payload: dict, as_json: bool) -> None:
+    from . import detector
+
     if as_json:
         _emit_json(payload)
         return
@@ -122,6 +130,8 @@ def _print_correlation(payload: dict, as_json: bool) -> None:
 
 
 def cmd_correlation(args: argparse.Namespace) -> int:
+    from . import detector
+
     if args.ratio_counts is not None:
         model = (args.gamma, args.dark_rate, args.window, args.d, args.ratio, args.mode)
         if any(v is not None for v in model):
@@ -163,6 +173,8 @@ def _geomspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import detector
+
     if args.gamma_steps < 2 or args.d_steps < 2:
         raise ValueError("step counts must be >= 2")
     if args.contour is not None:
@@ -233,7 +245,7 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _build_run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
-    from . import montecarlo
+    from . import detector, montecarlo, quantum
 
     if args.d is None or args.gamma is None:
         raise ValueError("simulate requires d and gamma")
@@ -317,6 +329,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- quantum -----------------------------------------------------------------
 
 def cmd_quantum(args: argparse.Namespace) -> int:
+    from . import quantum
+
     setting = quantum.validate_setting(args.setting)
     state = quantum.ghz_state()
     value = quantum.operator_expectation(state, setting)

@@ -23,8 +23,9 @@ does not use the aggregates above.
 Everything is plain Python on floats.  One private kernel per mode computes
 E along a row, at one gamma for a column of d; a single value is a row of
 one, so it rounds exactly as its cell of ``ghzdet sweep`` (correlation_rows).
-Where the signal leaves the normal range, exact mode scales d, gamma and the
-firing probabilities by a power of two, which is exact (_rescaled_correlation).
+Where the signal leaves the normal range, exact mode scales d, gamma, the
+firing and the creation probabilities by powers of two, which is exact
+(_rescaled_correlation).
 """
 
 from __future__ import annotations
@@ -200,18 +201,21 @@ def _rescaled_correlation(d: float, gamma: float, p_pair: float, p_twopair: floa
 
     d and the firing probabilities are divided by 2^k, k the exponent of
     max(d, gamma) but never above 0, and the union is built in units of
-    2^-4k with each (1 - u) taken in true units.  The double pair then fires
-    with at least p_twopair / 16, so only a p_twopair that small underflows.
+    2^-4k with each (1 - u) taken in true units.  p_pair and p_twopair are
+    multiplied by 2^j, the power of two that brings a p_twopair below 1/2
+    into [1/2, 1), with j at most 1000 so that p_pair times the union stays
+    finite.  A double pair then fires all four with at least 2^-78 in these
+    units, so P(fourfold) > 0 for every p_twopair > 0.
     """
     k = min(math.frexp(max(d, gamma))[1], 0)
+    j = min(max(-math.frexp(p_twopair)[1], 0), 1000)
     fire = [math.ldexp(f, -k) for f in fire_probabilities(d, gamma)]
     d = math.ldexp(d, -k)
+    p_pair, p_twopair = math.ldexp(p_pair, j), math.ldexp(p_twopair, j)
     union = 0.0
     for t, d1, d2, d3 in ARRIVAL_COUNTS:
         union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - math.ldexp(union, 4 * k))
     p4 = p_pair * union + p_twopair * (fire[1] * fire[1] * fire[1] * fire[1])
-    if not p4 > 0.0:
-        raise ValueError("fourfold probability underflows to 0, correlation undefined")
     return e_ghz * (p_twopair * (d * d * d * fire[1])) / p4
 
 

@@ -702,6 +702,34 @@ class TestQuantum:
         assert code == 2
 
 
+# The words each help text must show: subcommand names for `ghzdet --help`,
+# and each subcommand's positional arguments and options for its own.
+HELP_WORDS = {
+    (): ("check", "construct-joint", "correlation", "sweep", "simulate", "quantum"),
+    ("check",): ("e_a", "e_b", "e_c", "e_abc", "--json"),
+    ("construct-joint",): ("p", "q", "--json"),
+    ("correlation",): ("--d", "--gamma", "--dark-rate", "--window", "--ratio",
+                       "--ratio-counts", "--e-ghz", "--mode", "--json"),
+    ("sweep",): ("--gamma-min", "--gamma-max", "--gamma-steps", "--d-min", "--d-max",
+                 "--d-steps", "--ratio", "--e-ghz", "--mode", "--contour", "--out"),
+    ("simulate",): ("--config", "--d", "--gamma", "--pair", "--ratio", "--e-ghz", "--setting",
+                    "--trials", "--seed", "--workers", "--events", "--json"),
+    ("quantum",): ("setting", "--json"),
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(HELP_WORDS), ids=lambda c: " ".join(c) or "ghzdet")
+    def test_help_exits_0_and_lists_the_options(self, command):
+        # A fresh interpreter, so that no layer is loaded before the help runs.
+        proc = subprocess.run([sys.executable, "-m", "ghzdet.cli", *command, "--help"],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"usage: {' '.join(('ghzdet',) + command)} ")
+        words = set(proc.stdout.replace(",", " ").replace("{", " ").replace("}", " ").split())
+        assert set(HELP_WORDS[command]) <= words
+
+
 class TestDeterminismBytes:
     def test_byte_identical_json_across_runs_and_workers(self):
         base = [

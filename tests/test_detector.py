@@ -211,13 +211,30 @@ class TestCorrectedCorrelation:
         with pytest.raises(ValueError):
             det.corrected_correlation(DetectorParams(0.5, 1e-7, 1.0, 0.0))
 
-    def test_underflowing_fourfold_rejected(self):
-        # Rescaled, a double pair fires with at least p_twopair / 16, which
-        # underflows to 0 only for a p_twopair of a few least floats.  With no
-        # darks there is no single-pair fourfold either, so the computed P(fourfold)
-        # is 0: the call raises ValueError rather than dividing 0 by 0.
-        with pytest.raises(ValueError, match="underflows"):
-            det.corrected_correlation(DetectorParams(0.5, 0.0, 1.0, 5e-324), "exact")
+    def test_least_twopair_without_darks_gives_ideal(self):
+        # With no darks every fourfold is a correlated double pair, so E = 1
+        # for any p_twopair > 0.  p_twopair times the signal underflows even
+        # when rescaled by d and gamma; this input once raised "fourfold
+        # probability underflows to 0".
+        assert det.corrected_correlation(DetectorParams(0.5, 0.0, 1.0, 5e-324), "exact") == 1.0
+
+    @pytest.mark.parametrize("gamma, want", [(1e-100, 2.05860685767e-125), (1e-170, 1.0)])
+    def test_least_twopair_with_darks(self, gamma, want):
+        # At gamma = 1e-100 the single-pair union, 1.5e-200, outweighs the
+        # double pair and E is the signal over it; the signal once rounded to
+        # 0, so E = 0.  At gamma = 1e-170 the union is below the least float,
+        # E is 1 to double precision, and the call once raised.
+        p = DetectorParams(0.5, gamma, 1.0, 5e-324)
+        e = det.corrected_correlation(p, "exact")
+        assert e == pytest.approx(exact_e_reference(p), rel=1e-14, abs=0)
+        assert e == pytest.approx(want, rel=1e-11)
+
+    def test_every_positive_twopair_gives_a_correlation(self):
+        for p_twopair in (5e-324, 1e-310, 1e-300, 1e-200):
+            for d in (1.0, 0.5, 1e-100, 1e-300, 5e-324):
+                for gamma in (0.0, 5e-324, 1e-300, 1e-100, 0.5, 1.0):
+                    p = DetectorParams(d, gamma, 1.0, p_twopair)
+                    assert 0.0 <= det.corrected_correlation(p, "exact") <= 1.0, p
 
     @pytest.mark.parametrize("d, gamma, want", [
         (1e-80, 1e-80, 6.24999999969e-12), (1e-100, 1e-100, 6.24999999969e-12), (1e-100, 0.0, 1.0),

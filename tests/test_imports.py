@@ -1,7 +1,11 @@
-"""No subcommand imports numpy, and only the simulation imports dataclasses.
+"""What each call imports: no subcommand imports numpy, only the simulation
+imports dataclasses, and each loads only the ghzdet layers it runs.
 
-`import ghzdet` loads lhv, detector and quantum; the simulation,
-ghzdet.montecarlo, is imported by name.
+`import ghzdet` loads lhv alone; detector, quantum and the simulation,
+ghzdet.montecarlo, are imported by name.  `check` and `construct-joint` load
+cli and lhv; `correlation` and `sweep` add detector; `quantum` adds quantum;
+`simulate` adds detector, quantum and montecarlo.  json is imported only by
+a call that prints JSON.
 
 `check`, `construct-joint`, every form of `correlation`, `sweep` in both
 modes, `quantum` and the batch LHV masks run on plain floats, so a fresh
@@ -32,28 +36,35 @@ SWEEP = ("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps",
          "--out", os.devnull)
 
 
-@pytest.mark.parametrize(
-    "statement",
-    [
-        "import ghzdet",
-        cli_call("check", "1", "1", "1", "-1", "--json"),
-        cli_call("check", "0.5", "0.5", "0.5", "-0.5"),
-        cli_call("construct-joint", "0.5", "0.5", "--json"),
-        cli_call("correlation", "--d", "0.5", "--dark-rate", "300", "--window", "2e-9", "--json"),
-        cli_call("correlation", "--ratio-counts", "1:12"),
-        cli_call("correlation", "--d", "0.5", "--gamma", "6e-7", "--mode", "exact", "--json"),
-        cli_call("quantum", "XXX"),
-        cli_call(*SWEEP, "--contour", "0.92"),
-        cli_call(*SWEEP, "--mode", "exact"),
-        "from ghzdet import lhv\n"
-        "tetrads = [(1.0, 1.0, 1.0, -1.0), (0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)]\n"
-        "assert lhv.feasible_mask_oracle(tetrads) == [False, True, True]\n"
-        "assert lhv.feasible_mask_inequalities(tetrads) == [False, True, True]",
-    ],
-    ids=["import", "check-json", "check-feasible", "construct-joint", "correlation-rates",
-         "correlation-ratio-counts", "correlation-exact", "quantum", "sweep-approx-contour",
-         "sweep-exact", "batch-masks"],
+BATCH_MASKS = (
+    "from ghzdet import lhv\n"
+    "tetrads = [(1.0, 1.0, 1.0, -1.0), (0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)]\n"
+    "assert lhv.feasible_mask_oracle(tetrads) == [False, True, True]\n"
+    "assert lhv.feasible_mask_inequalities(tetrads) == [False, True, True]"
 )
+CLI = {"ghzdet.cli", "ghzdet.lhv"}
+DETECTOR = CLI | {"ghzdet.detector"}
+
+# (id, statement, the ghzdet modules and json that it leaves in sys.modules)
+STATEMENTS = [
+    ("import", "import ghzdet", {"ghzdet.lhv"}),
+    ("check-json", cli_call("check", "1", "1", "1", "-1", "--json"), CLI | {"json"}),
+    ("check-feasible", cli_call("check", "0.5", "0.5", "0.5", "-0.5"), CLI),
+    ("construct-joint", cli_call("construct-joint", "0.5", "0.5", "--json"), CLI | {"json"}),
+    ("correlation-rates", cli_call("correlation", "--d", "0.5", "--dark-rate", "300",
+                                   "--window", "2e-9", "--json"), DETECTOR | {"json"}),
+    ("correlation-ratio-counts", cli_call("correlation", "--ratio-counts", "1:12"), DETECTOR),
+    ("correlation-exact", cli_call("correlation", "--d", "0.5", "--gamma", "6e-7",
+                                   "--mode", "exact", "--json"), DETECTOR | {"json"}),
+    ("quantum", cli_call("quantum", "XXX"), CLI | {"ghzdet.quantum"}),
+    ("sweep-approx-contour", cli_call(*SWEEP, "--contour", "0.92"), DETECTOR),
+    ("sweep-exact", cli_call(*SWEEP, "--mode", "exact"), DETECTOR),
+    ("batch-masks", BATCH_MASKS, {"ghzdet.lhv"}),
+]
+
+
+@pytest.mark.parametrize("statement", [s for _, s, _ in STATEMENTS],
+                         ids=[i for i, _, _ in STATEMENTS])
 def test_numpy_not_imported(statement):
     script = (f"import sys\n{statement}\n"
               "sys.exit(3 if 'numpy' in sys.modules else 4 if 'dataclasses' in sys.modules else 0)")
@@ -68,11 +79,31 @@ def test_import_loads_the_analysis_modules_only():
     script = "import sys, ghzdet\nprint(*sorted(m for m in sys.modules if m.startswith('ghzdet.')))"
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["ghzdet.detector", "ghzdet.lhv", "ghzdet.quantum"]
+    assert proc.stdout.split() == ["ghzdet.lhv"]
 
 
 SIMULATE = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
             "--trials", "1000000", "--seed", "1")
+
+
+SIMULATE_MODULES = DETECTOR | {"ghzdet.montecarlo", "ghzdet.quantum"}
+
+
+@pytest.mark.parametrize(
+    "statement, modules",
+    [(s, m) for _, s, m in STATEMENTS] + [
+        (cli_call(*SIMULATE), SIMULATE_MODULES),
+        (cli_call(*SIMULATE, "--json", "--events", os.devnull), SIMULATE_MODULES | {"json"}),
+    ],
+    ids=[i for i, _, _ in STATEMENTS] + ["simulate", "simulate-json-events"],
+)
+def test_each_call_loads_only_its_layers(statement, modules):
+    script = (f"import sys\n{statement}\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('ghzdet.') or m == 'json'))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == sorted(modules)
 
 
 @pytest.mark.parametrize(
