@@ -1,12 +1,14 @@
 """Closed-form fourfold-coincidence model with efficiency d and dark counts.
 
-A trigger detector T and three signal detectors D1..D3 each fire with
-probability gamma on no photon, d + (1-d) gamma on one photon and
-d (1-d) + (1-d)^2 gamma on two (fire_probabilities).  Photon creation is
-either a single pair (probability p_pair), whose two photons arrive on one of
-the ten channels of ARRIVAL_COUNTS, or a double pair carrying the entangled
-correlation (p_twopair), one photon per detector.  Every probability of the
-model is built from those firing probabilities:
+A trigger detector T and three signal detectors D1..D3 each follow one click
+rule, stated in _click_rule: n photons fire a detector with a_n + b_n gamma,
+b_n = (1-d)^n.  So a detector fires with gamma on no photon, d + (1-d) gamma
+on one and d (1-d) + (1-d)^2 gamma on two (fire_probabilities); the two-photon
+term d (1-d) is still open.  Photon creation is either a single pair
+(probability p_pair), whose two photons arrive on one of the ten channels of
+ARRIVAL_COUNTS, or a double pair carrying the entangled correlation
+(p_twopair), one photon per detector.  Every probability of the model is
+built from that rule, in one kernel, _fourfold_row:
 
 * P(fourfold | pair) is the exact union over the ten channels;
 * P(correlated fourfold) = p_twopair d^3 (d + (1-d) gamma): D1..D3 fire on
@@ -23,9 +25,8 @@ does not use the aggregates above.
 Everything is plain Python on floats.  One private kernel per mode computes
 E along a row, at one gamma for a column of d; a single value is a row of
 one, so it rounds exactly as its cell of ``ghzdet sweep`` (correlation_rows).
-Where the signal leaves the normal range, exact mode scales d, gamma, the
-firing and the creation probabilities by powers of two, which is exact
-(_rescaled_correlation).
+Where the signal leaves the normal range, exact mode runs the same kernel on
+one column scaled by powers of two, which is exact (_rescaled_correlation).
 """
 
 from __future__ import annotations
@@ -122,48 +123,63 @@ def gamma_from_rates(dark_rate: float, window: float) -> float:
     return gamma
 
 
+def _click_rule(d: float, k: int = 0) -> tuple[float, float, float, float, float]:
+    """(a1, b1, a2, b2, d^3): n photons fire a detector with a_n + b_n gamma.
+
+    This is the one statement of the rule.  b_n = (1-d)^n is the chance that
+    none of the n photons is detected, so that only a dark count can fire the
+    detector.  a1 = d, and a2 = d (1-d), which is not P(exactly one of two
+    detected), 2 d (1-d): the click rule the term stands for is still open.
+    d and the a_n come in units of 2^-k, and d^3 in units of 2^-3k.
+    """
+    u = 1.0 - d
+    d = math.ldexp(d, -k)
+    return d, u, d * u, u * u, d * d * d
+
+
 def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
     """P(a detector fires) with 0, 1 and 2 photons on it.
 
-    Two photons fire with d (1-d), plus (1-d)^2 gamma for a dark count when
-    neither is detected.  d (1-d) is not P(exactly one of two detected), which
-    is 2 d (1-d): the click rule the term stands for is still open.
+    gamma, then a_n + b_n gamma for n = 1, 2 from _click_rule, where the rule
+    and its open two-photon term d (1-d) are stated.
     """
-    u = 1.0 - d
-    return gamma, d + u * gamma, d * u + u * u * gamma
+    a1, b1, a2, b2, _ = _click_rule(d)
+    return gamma, a1 + b1 * gamma, a2 + b2 * gamma
 
 
-def _fourfold_row(gamma: float, ds, p_pair: float, p_twopair: float) -> list[float]:
-    """[signal, P(fourfold)] at one gamma for each d in turn, as one flat list.
+def _fourfold_row(gamma: float, columns, p_pair: float, p_twopair: float,
+                  unit: float = 1.0) -> list[float]:
+    """[signal, P(fourfold)] at one gamma for each _click_rule column, as one flat list.
 
-    The union is built by u <- u + q (1 - u) from u = 0, so 1 - u stays
-    prod(1 - q) and nothing cancels where q ~ gamma^2.  It is unrolled in the
-    order of ARRIVAL_COUNTS, each q the product of fire_probabilities' values
-    left to right, so a product two channels share is computed once.
+    This is the one statement of the union over the ten channels.  It is
+    built by u <- u + q (1 - u) from u = 0, so 1 - u stays prod(1 - q) and
+    nothing cancels where q ~ gamma^2.  It is unrolled in the order of
+    ARRIVAL_COUNTS, each q the product of fire_probabilities' values left to
+    right, so a product two channels share is computed once.  u times unit is
+    u in true units: unit is 1.0 except on a rescaled cell.
     """
     g2 = gamma * gamma
     g3 = g2 * gamma
     terms: list[float] = []
     put = terms.append
-    for d in ds:
-        u = 1.0 - d
-        f1 = d + u * gamma
-        f2 = d * u + u * u * gamma
+    for a1, b1, a2, b2, d3 in columns:
+        f1 = a1 + b1 * gamma
+        f2 = a2 + b2 * gamma
         f1g = f1 * gamma
         q_td2 = f1g * f1 * gamma  # also D1 D2
         q_td3 = f1g * gamma * f1  # also D1 D3
         q_d1d1 = gamma * f2 * gamma * gamma  # also T T
         union = f1 * f1 * gamma * gamma  # T D1
-        union = union + q_td2 * (1.0 - union)
-        union = union + q_td3 * (1.0 - union)
-        union = union + q_td2 * (1.0 - union)
-        union = union + q_td3 * (1.0 - union)
-        union = union + g2 * f1 * f1 * (1.0 - union)  # D2 D3
-        union = union + q_d1d1 * (1.0 - union)
-        union = union + g2 * f2 * gamma * (1.0 - union)  # D2 D2
-        union = union + g3 * f2 * (1.0 - union)  # D3 D3
-        union = union + q_d1d1 * (1.0 - union)
-        put(p_twopair * (d * d * d * f1))
+        union = union + q_td2 * (1.0 - union * unit)
+        union = union + q_td3 * (1.0 - union * unit)
+        union = union + q_td2 * (1.0 - union * unit)
+        union = union + q_td3 * (1.0 - union * unit)
+        union = union + g2 * f1 * f1 * (1.0 - union * unit)  # D2 D3
+        union = union + q_d1d1 * (1.0 - union * unit)
+        union = union + g2 * f2 * gamma * (1.0 - union * unit)  # D2 D2
+        union = union + g3 * f2 * (1.0 - union * unit)  # D3 D3
+        union = union + q_d1d1 * (1.0 - union * unit)
+        put(p_twopair * (d3 * f1))
         put(p_pair * union + p_twopair * (f1 * f1 * f1 * f1))
     return terms
 
@@ -175,7 +191,7 @@ def pair_fourfold_probability(d: float, gamma: float) -> float:
     four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
     of the other channels, so the union is 1 - prod(1 - q).
     """
-    return _fourfold_row(gamma, (d,), 1.0, 0.0)[1]
+    return _fourfold_row(gamma, (_click_rule(d),), 1.0, 0.0)[1]
 
 
 def signal_probability(params: DetectorParams) -> float:
@@ -183,7 +199,7 @@ def signal_probability(params: DetectorParams) -> float:
 
     D1..D3 fire on their photons; T fires on its photon or a dark count.
     """
-    return _fourfold_row(params.gamma, (params.d,), params.p_pair, params.p_twopair)[0]
+    return _fourfold_row(params.gamma, (_click_rule(params.d),), params.p_pair, params.p_twopair)[0]
 
 
 def fourfold_probability(params: DetectorParams) -> float:
@@ -192,39 +208,36 @@ def fourfold_probability(params: DetectorParams) -> float:
     A double pair puts one photon on each detector, so it is a fourfold with
     probability (d + (1-d) gamma)^4, of which signal_probability is a part.
     """
-    return _fourfold_row(params.gamma, (params.d,), params.p_pair, params.p_twopair)[1]
+    return _fourfold_row(params.gamma, (_click_rule(params.d),), params.p_pair, params.p_twopair)[1]
 
 
 def _rescaled_correlation(d: float, gamma: float, p_pair: float, p_twopair: float,
                           e_ghz: float) -> float:
     """Exact E of a cell whose signal is below the normal range.
 
-    d and the firing probabilities are divided by 2^k, k the exponent of
-    max(d, gamma) but never above 0, and the union is built in units of
-    2^-4k with each (1 - u) taken in true units.  p_pair and p_twopair are
-    multiplied by 2^j, the power of two that brings a p_twopair below 1/2
-    into [1/2, 1), with j at most 1000 so that p_pair times the union stays
-    finite.  A double pair then fires all four with at least 2^-78 in these
-    units, so P(fourfold) > 0 for every p_twopair > 0.
+    It runs _fourfold_row on one column scaled by powers of two, which is
+    exact.  d, gamma and the a_n of _click_rule are divided by 2^k, k the
+    exponent of max(d, gamma) but never above 0, so the union is in units of
+    2^-4k, and unit = 2^4k gives each (1 - u) in true units.  p_pair and
+    p_twopair are multiplied by 2^j, the power of two that brings a p_twopair
+    below 1/2 into [1/2, 1), with j at most 1000 so that p_pair times the
+    union stays finite.  A double pair then fires all four with at least
+    2^-78 in these units, so P(fourfold) > 0 for every p_twopair > 0.
     """
     k = min(math.frexp(max(d, gamma))[1], 0)
     j = min(max(-math.frexp(p_twopair)[1], 0), 1000)
-    fire = [math.ldexp(f, -k) for f in fire_probabilities(d, gamma)]
-    d = math.ldexp(d, -k)
-    p_pair, p_twopair = math.ldexp(p_pair, j), math.ldexp(p_twopair, j)
-    union = 0.0
-    for t, d1, d2, d3 in ARRIVAL_COUNTS:
-        union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - math.ldexp(union, 4 * k))
-    p4 = p_pair * union + p_twopair * (fire[1] * fire[1] * fire[1] * fire[1])
-    return e_ghz * (p_twopair * (d * d * d * fire[1])) / p4
+    signal, p4 = _fourfold_row(math.ldexp(gamma, -k), (_click_rule(d, k),), math.ldexp(p_pair, j),
+                               math.ldexp(p_twopair, j), math.ldexp(1.0, 4 * k))
+    return e_ghz * signal / p4
 
 
-def _exact_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
-    terms = iter(_fourfold_row(gamma, ds, p_pair, p_twopair))
+def _exact_row(gamma: float, columns, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
+    terms = iter(_fourfold_row(gamma, columns, p_pair, p_twopair))
     # The signal is at most P(fourfold), so a normal signal leaves no 0 / 0.
+    # A column's a1 is its d.
     return [e_ghz * signal / p4 if signal >= _LEAST_NORMAL
-            else _rescaled_correlation(d, gamma, p_pair, p_twopair, e_ghz)
-            for d, signal, p4 in zip(ds, terms, terms)]
+            else _rescaled_correlation(column[0], gamma, p_pair, p_twopair, e_ghz)
+            for column, signal, p4 in zip(columns, terms, terms)]
 
 
 def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
@@ -236,7 +249,8 @@ def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float)
     return [e_ghz / (1.0 + dilution * (q := gamma / d) * q) for d in ds]
 
 
-_ROWS = {"approx": _approx_row, "exact": _exact_row}
+# Per mode, the column that its row reads for each d, and the row itself.
+_MODES = {"approx": (float, _approx_row), "exact": (_click_rule, _exact_row)}
 
 
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
@@ -251,9 +265,10 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
         raise ValueError("d = 0: no photon is ever detected, correlation undefined")
     if params.p_twopair == 0.0:
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
-    if mode not in _ROWS:
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    return _ROWS[mode](params.gamma, (params.d,), params.p_pair, params.p_twopair, params.e_ghz)[0]
+    column, row = _MODES[mode]
+    return row(params.gamma, (column(params.d),), params.p_pair, params.p_twopair, params.e_ghz)[0]
 
 
 def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
@@ -304,8 +319,9 @@ def correlation_rows(gammas, ds, ratio: float, e_ghz: float = 1.0, mode: str = "
         _check_prob("gamma", gamma)
     least = DetectorParams.from_ratio(min(_check_prob("d", d) for d in ds), 0.0, ratio, e_ghz)
     corrected_correlation(least, mode)  # checks d > 0 and the mode
-    row = _ROWS[mode]
-    return (_cells(row(g, ds, least.p_pair, least.p_twopair, e_ghz)) for g in gammas)
+    column, row = _MODES[mode]
+    columns = [column(d) for d in ds]
+    return (_cells(row(g, columns, least.p_pair, least.p_twopair, e_ghz)) for g in gammas)
 
 
 def find_gamma_for_correlation(

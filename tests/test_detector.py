@@ -90,6 +90,22 @@ UNION_DS = (0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
 UNION_GAMMAS = (0.0, 1e-12, 1e-9, 6e-7, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0)
 
 
+# d and gamma over [0, 1]: both ends, subnormals, the least normal and 1 - ulp.
+RULE_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-16, 2.0**-54, 1e-3, 0.3, 0.5,
+               0.7, 0.999, 1.0 - 2.0**-53, 1.0)
+
+
+class TestClickRule:
+    def test_fire_probabilities_follow_the_rule(self):
+        # n photons fire a detector with a_n + b_n gamma, b_n = (1-d)^n.
+        for d in RULE_VALUES:
+            a1, b1, a2, b2, d3 = det._click_rule(d)
+            assert bits([a1, b1, a2, b2, d3]) == bits([d, 1.0 - d, d * (1.0 - d),
+                                                       (1.0 - d) * (1.0 - d), d * d * d]), d
+            for g in RULE_VALUES:
+                assert bits(det.fire_probabilities(d, g)) == bits([g, a1 + b1 * g, a2 + b2 * g]), (d, g)
+
+
 class TestPairProbabilities:
     def test_distinct_vanishes_without_darks(self):
         assert channel_probabilities(0.7, 0.0)[0] == 0.0
@@ -152,7 +168,7 @@ class TestPairProbabilities:
         # equals the recurrence over ARRIVAL_COUNTS written out as a loop, bit
         # for bit, and the signal and the double-pair term likewise.
         for g in UNION_GAMMAS:
-            row = det._fourfold_row(g, UNION_DS, 0.25, 0.75)
+            row = det._fourfold_row(g, [det._click_rule(d) for d in UNION_DS], 0.25, 0.75)
             for j, d in enumerate(UNION_DS):
                 fire = det.fire_probabilities(d, g)
                 union = 0.0
@@ -259,6 +275,37 @@ class TestCorrectedCorrelation:
             p = DetectorParams.from_ratio(d, gamma, ratio)
             e = det.corrected_correlation(p, "exact")
             assert e == pytest.approx(exact_e_reference(p), rel=1e-13, abs=0), (exponent, e)
+
+    @pytest.mark.parametrize("ratio", [1e10, 1.0, 1e300])
+    @pytest.mark.parametrize("shape", [(1e-60, 1.0), (1.0, 1e-150), (1e-200, 1e-3), (1e-3, 1e-150)])
+    def test_exact_for_asymmetric_shapes(self, ratio, shape):
+        # One of d and gamma far below the other, so the rescaled cell's
+        # 2^-k follows the larger; E may leave the float range, so the bound
+        # is absolute at the least subnormal.
+        for exponent in range(0, 330, 10):
+            d, gamma = (x * 10.0 ** -exponent for x in shape)
+            if d == 0.0:
+                continue
+            p = DetectorParams.from_ratio(d, gamma, ratio)
+            e, want = det.corrected_correlation(p, "exact"), exact_e_reference(p)
+            assert abs(e - want) <= max(1e-13 * want, 5e-324), (exponent, e, want)
+
+    def test_rescaled_cell_is_the_scaled_union(self):
+        # Where the signal is normal, scaling by powers of two is exact, so the
+        # rescaled cell gives the normal path's E bit for bit: it is the same
+        # union.  A fifteenth of the benchmark grid, then log-uniform grids.
+        grids = [([10.0 ** (-8 + 3 * i / 299) for i in range(0, 300, 15)],
+                  [0.3 + 0.6 * i / 299 for i in range(0, 300, 15)], 1e10)]
+        for ratio in (1e-3, 1.0, 1e3, 1e6, 1e10):
+            grids.append(([0.0] + [10.0 ** (-12 + 12 * i / 19) for i in range(20)],
+                          [10.0 ** (-3 + 3 * i / 19) for i in range(20)], ratio))
+        for gammas, ds, ratio in grids:
+            for g in gammas:
+                for d in ds:
+                    p = DetectorParams.from_ratio(d, g, ratio)
+                    assert det.signal_probability(p) >= det._LEAST_NORMAL, p
+                    e = det._rescaled_correlation(d, g, p.p_pair, p.p_twopair, p.e_ghz)
+                    assert bits([e]) == bits([det.corrected_correlation(p, "exact")]), p
 
     def test_mode_agreement_in_reported_regime(self):
         for gamma in (1e-7, 1e-6, 1e-5):
