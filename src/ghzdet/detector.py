@@ -10,7 +10,9 @@ ARRIVAL_COUNTS, or a double pair carrying the entangled correlation
 (p_twopair), one photon per detector.  Every probability of the model is
 built from that rule, in one kernel, _fourfold_row:
 
-* P(fourfold | pair) is the exact union over the ten channels;
+* P(fourfold | pair) is the exact union over the ten channels, which the
+  equal detectors make 1 - (1-a)^6 (1-b)^4: six channels of two detectors
+  fire all four with a, four channels of one detector with b;
 * P(correlated fourfold) = p_twopair d^3 (d + (1-d) gamma): D1..D3 fire on
   their photons, T on its photon or a dark count;
 * P(fourfold | double pair) = (d + (1-d) gamma)^4.
@@ -151,36 +153,35 @@ def _fourfold_row(gamma: float, columns, p_pair: float, p_twopair: float,
                   unit: float = 1.0) -> list[float]:
     """[signal, P(fourfold)] at one gamma for each _click_rule column, as one flat list.
 
-    This is the one statement of the union over the ten channels.  It is
-    built by u <- u + q (1 - u) from u = 0, so 1 - u stays prod(1 - q) and
-    nothing cancels where q ~ gamma^2.  It is unrolled in the order of
-    ARRIVAL_COUNTS, each q the product of fire_probabilities' values left to
-    right, so a product two channels share is computed once.  u times unit is
-    u in true units: unit is 1.0 except on a rescaled cell.
+    This is the one statement of the union over the ten channels of
+    ARRIVAL_COUNTS, in closed form.  The four detectors share d and gamma, so
+    each of the six channels with one photon on each of two detectors fires
+    all four with a = (f1 gamma)^2, and each of the four with both photons on
+    one detector with b = f2 gamma^3.  The union is then
+    1 - (1-a)^6 (1-b)^4 = a s6 + b s4 (1 - a s6), where
+    s_n = 1 + c + ... + c^(n-1) = (1 - c^n) / (1 - c) with c = 1 - a for s6
+    and c = 1 - b for s4.  Every term is nonnegative, so nothing cancels where
+    a ~ gamma^2, and only + - * are used.  p_pair multiplies f1 gamma before
+    it is squared, so that on a rescaled cell, where p_pair is scaled up,
+    p_pair a is not lost to an underflow of a.  a and b times unit are a and
+    b in true units: unit is 1.0 except on a rescaled cell.  The form rests on
+    equal detectors; per-detector d and gamma would need the product of
+    (1 - q) over ten distinct channels.
     """
-    g2 = gamma * gamma
-    g3 = g2 * gamma
+    g3 = gamma * gamma * gamma
     terms: list[float] = []
     put = terms.append
     for a1, b1, a2, b2, d3 in columns:
         f1 = a1 + b1 * gamma
-        f2 = a2 + b2 * gamma
-        f1g = f1 * gamma
-        q_td2 = f1g * f1 * gamma  # also D1 D2
-        q_td3 = f1g * gamma * f1  # also D1 D3
-        q_d1d1 = gamma * f2 * gamma * gamma  # also T T
-        union = f1 * f1 * gamma * gamma  # T D1
-        union = union + q_td2 * (1.0 - union * unit)
-        union = union + q_td3 * (1.0 - union * unit)
-        union = union + q_td2 * (1.0 - union * unit)
-        union = union + q_td3 * (1.0 - union * unit)
-        union = union + g2 * f1 * f1 * (1.0 - union * unit)  # D2 D3
-        union = union + q_d1d1 * (1.0 - union * unit)
-        union = union + g2 * f2 * gamma * (1.0 - union * unit)  # D2 D2
-        union = union + g3 * f2 * (1.0 - union * unit)  # D3 D3
-        union = union + q_d1d1 * (1.0 - union * unit)
+        fg = f1 * gamma
+        a = fg * fg
+        b = (a2 + b2 * gamma) * g3
+        c = 1.0 - a * unit
+        e = 1.0 - b * unit
+        s6 = 1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c))))
+        rest = b * (1.0 + e * (1.0 + e * (1.0 + e))) * (1.0 - a * s6 * unit)
         put(p_twopair * (d3 * f1))
-        put(p_pair * union + p_twopair * (f1 * f1 * f1 * f1))
+        put(p_pair * fg * fg * s6 + p_pair * rest + p_twopair * (f1 * f1 * f1 * f1))
     return terms
 
 
@@ -189,7 +190,9 @@ def pair_fourfold_probability(d: float, gamma: float) -> float:
 
     A channel with photon counts (t, d1, d2, d3) at (T, D1, D2, D3) fires all
     four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
-    of the other channels, so the union is 1 - prod(1 - q).
+    of the other channels, so the union is 1 - prod(1 - q).  Six channels
+    share q = a and four share q = b, so it is 1 - (1-a)^6 (1-b)^4, which
+    _fourfold_row evaluates with geometric sums.
     """
     return _fourfold_row(gamma, (_click_rule(d),), 1.0, 0.0)[1]
 
@@ -217,12 +220,15 @@ def _rescaled_correlation(d: float, gamma: float, p_pair: float, p_twopair: floa
 
     It runs _fourfold_row on one column scaled by powers of two, which is
     exact.  d, gamma and the a_n of _click_rule are divided by 2^k, k the
-    exponent of max(d, gamma) but never above 0, so the union is in units of
-    2^-4k, and unit = 2^4k gives each (1 - u) in true units.  p_pair and
-    p_twopair are multiplied by 2^j, the power of two that brings a p_twopair
-    below 1/2 into [1/2, 1), with j at most 1000 so that p_pair times the
-    union stays finite.  A double pair then fires all four with at least
-    2^-78 in these units, so P(fourfold) > 0 for every p_twopair > 0.
+    exponent of max(d, gamma) but never above 0, so the channel probabilities
+    a and b of the union are in units of 2^-4k, and unit = 2^4k gives 1 - a
+    and 1 - b in true units.  p_pair and p_twopair are multiplied by 2^j, the
+    power of two that brings a p_twopair below 1/2 into [1/2, 1), with j at
+    most 1000 so that p_pair times the union stays finite.  Where gamma is far
+    below d, a itself may fall below the float range while p_pair a does not;
+    the kernel multiplies p_pair in before it squares f1 gamma, so that term
+    is kept.  A double pair then fires all four with at least 2^-78 in these
+    units, so P(fourfold) > 0 for every p_twopair > 0.
     """
     k = min(math.frexp(max(d, gamma))[1], 0)
     j = min(max(-math.frexp(p_twopair)[1], 0), 1000)

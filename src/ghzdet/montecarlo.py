@@ -302,7 +302,8 @@ def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XY
     """
     ideal = quantum.operator_expectation(ghz_state(), setting)
     try:
-        analytic_e = ideal * detector.corrected_correlation(params, mode="exact")
+        # + 0.0 makes the -0.0 of a zero times a negative factor +0.0.
+        analytic_e = ideal * detector.corrected_correlation(params, mode="exact") + 0.0
     except ValueError:
         # Degenerate source (no quadruples, or no way to register any): the
         # conditional correlation is undefined, only the rate can be compared.

@@ -495,6 +495,20 @@ class TestSimulate:
         assert payload["n_fourfold"] == 1000
         assert payload["analytic_e"] is None
 
+    @pytest.mark.parametrize("e_ghz, setting", [("-0.5", "XXY"), ("0", "XXX")])
+    def test_zero_model_correlation_is_positive_zero(self, capsys, e_ghz, setting):
+        # A zero times a negative factor once printed "analytic E = -0".
+        flags = ("--d", "0.9", "--gamma", "0.02", "--pair", "0.5", "--trials", "100000",
+                 "--seed", "1", "--e-ghz", e_ghz, "--setting", setting)
+        code, out = run_cli("simulate", *flags, capsys=capsys)
+        assert code == 0
+        line = next(line for line in out.out.splitlines() if line.startswith("analytic E = "))
+        text = line.split(",")[0].removeprefix("analytic E = ")
+        code, out = run_cli("simulate", *flags, "--json", capsys=capsys)
+        assert code == 0
+        for value in (float(text), json.loads(out.out)["analytic_e"]):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (text, out.out)
+
     def test_no_coincidences_marker(self, capsys):
         code, out = run_cli(
             "simulate", "--gamma", "0", "--d", "0.9", "--pair", "1",

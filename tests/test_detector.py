@@ -67,7 +67,11 @@ def twopair(d, gamma):
 
 
 def exact_e_reference(params):
-    """The exact E of params at 60 digits, its union by the same recurrence."""
+    """The exact E of params at 60 digits.
+
+    Its union is the recurrence u <- u + q (1 - u) over the ten channels of
+    ARRIVAL_COUNTS, independent of detector's closed form.
+    """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         d, g = mpmath.mpf(params.d), mpmath.mpf(params.gamma)
@@ -86,8 +90,10 @@ def bits(values):
 
 
 # A fixed grid with the corners (0, 1) and (1, 0) and the paper's (0.5, 6e-7).
-UNION_DS = (0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
-UNION_GAMMAS = (0.0, 1e-12, 1e-9, 6e-7, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0)
+# d = 2^-53 and gamma = 1 - 2^-53 bring a and b of the closed-form union to
+# within a few ulps of 1, so that 1 - a and 1 - b reach 0 and 2^-53 to 2^-51.
+UNION_DS = (0.0, 2.0**-53, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
+UNION_GAMMAS = (0.0, 1e-12, 1e-9, 6e-7, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0 - 2.0**-53, 1.0)
 
 
 # d and gamma over [0, 1]: both ends, subnormals, the least normal and 1 - ulp.
@@ -164,23 +170,26 @@ class TestPairProbabilities:
                 assert abs(got - want) <= 4e-15 * want, (d, g, got, float(want))
 
     def test_float_equals_its_grid_cell(self):
-        # The row kernel unrolls the union; each cell of a row, and each float,
-        # equals the recurrence over ARRIVAL_COUNTS written out as a loop, bit
-        # for bit, and the signal and the double-pair term likewise.
+        # Each float equals its cell of a row bit for bit: the union of a row
+        # with p_pair = 1, and the signal, p_twopair d^3 (d + (1-d) gamma), and
+        # P(fourfold) of a row with the same creation split.
         for g in UNION_GAMMAS:
-            row = det._fourfold_row(g, [det._click_rule(d) for d in UNION_DS], 0.25, 0.75)
+            columns = [det._click_rule(d) for d in UNION_DS]
+            row = det._fourfold_row(g, columns, 0.25, 0.75)
+            pair_row = det._fourfold_row(g, columns, 1.0, 0.0)
             for j, d in enumerate(UNION_DS):
-                fire = det.fire_probabilities(d, g)
-                union = 0.0
-                for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
-                    union = union + fire[t] * fire[d1] * fire[d2] * fire[d3] * (1.0 - union)
-                f1 = fire[1]
-                want = (0.75 * (d * d * d * f1), 0.25 * union + 0.75 * (f1 * f1 * f1 * f1))
-                assert bits(row[2 * j : 2 * j + 2]) == bits(want), (d, g)
-                assert bits([det.pair_fourfold_probability(d, g)]) == bits([union]), (d, g)
+                f1 = det.fire_probabilities(d, g)[1]
+                assert bits([row[2 * j]]) == bits([0.75 * (d * d * d * f1)]), (d, g)
+                assert bits([det.pair_fourfold_probability(d, g)]) == bits([pair_row[2 * j + 1]]), (d, g)
                 params = DetectorParams(d, g, 0.25, 0.75)
                 assert bits([det.signal_probability(params), det.fourfold_probability(params)]) \
-                    == bits(want), (d, g)
+                    == bits(row[2 * j : 2 * j + 2]), (d, g)
+
+    def test_channels_are_six_of_two_detectors_and_four_of_one(self):
+        # The closed form 1 - (1-a)^6 (1-b)^4 rests on these counts.
+        assert len(set(det.ARRIVAL_COUNTS)) == 10
+        shapes = sorted(tuple(sorted(counts, reverse=True)) for counts in det.ARRIVAL_COUNTS)
+        assert shapes == [(1, 1, 0, 0)] * 6 + [(2, 0, 0, 0)] * 4
 
 
 class TestQuadrupleProbabilities:
@@ -289,6 +298,30 @@ class TestCorrectedCorrelation:
             p = DetectorParams.from_ratio(d, gamma, ratio)
             e, want = det.corrected_correlation(p, "exact"), exact_e_reference(p)
             assert abs(e - want) <= max(1e-13 * want, 5e-324), (exponent, e, want)
+
+    def test_rescaled_cell_keeps_the_union_at_subnormal_twopair(self):
+        # gamma far below d with a subnormal p_twopair: in the rescaled cell's
+        # units the union, about (gamma/d)^2, may be below the float range
+        # while p_pair times it is not.  These inputs are reached only through
+        # the API; from_ratio gives p_twopair of at least about 5.6e-309.
+        # The first call once gave 1.0, the second 8.233841086867023e-05.
+        e = det.corrected_correlation(DetectorParams(3.156471184333108e-55, 5.290260974779344e-218,
+                                                     1.0, 5.61e-321), "exact")
+        assert e == pytest.approx(0.9999699455894273, rel=1e-15, abs=0)
+        e = det.corrected_correlation(DetectorParams(0.5, 5e-161, 1.0, 5e-324), "exact")
+        assert e == pytest.approx(8.233749428565923e-05, rel=1e-15, abs=0)
+        cells = 0
+        for p_twopair in (5e-324, 1e-321, 1e-318, 1e-315, 1e-312, 1e-310):
+            for d in (1e-60, 1e-40, 1e-20, 1e-5, 0.5, 1.0):
+                for exponent in range(0, 330, 10):
+                    gamma = d * 10.0 ** -exponent
+                    if gamma == 0.0:
+                        continue
+                    p = DetectorParams(d, gamma, 1.0, p_twopair)
+                    e, want = det.corrected_correlation(p, "exact"), exact_e_reference(p)
+                    assert abs(e - want) <= max(1e-13 * want, 5e-324), (p, e, want)
+                    cells += 1
+        assert cells == 1110
 
     def test_rescaled_cell_is_the_scaled_union(self):
         # Where the signal is normal, scaling by powers of two is exact, so the
