@@ -8,11 +8,12 @@ term d (1-d) is still open.  Photon creation is either a single pair
 (probability p_pair), whose two photons arrive on one of the ten channels of
 ARRIVAL_COUNTS, or a double pair carrying the entangled correlation
 (p_twopair), one photon per detector.  Every probability of the model is
-built from that rule, in one kernel, _fourfold_row:
+built from that rule, with f1 = d + (1-d) gamma:
 
 * P(fourfold | pair) is the exact union over the ten channels, which the
   equal detectors make 1 - (1-a)^6 (1-b)^4: six channels of two detectors
-  fire all four with a, four channels of one detector with b;
+  fire all four with a = (f1 gamma)^2, four channels of one detector with b
+  (stated once, in _normalised_row);
 * P(correlated fourfold) = p_twopair d^3 (d + (1-d) gamma): D1..D3 fire on
   their photons, T on its photon or a dark count;
 * P(fourfold | double pair) = (d + (1-d) gamma)^4.
@@ -27,14 +28,17 @@ does not use the aggregates above.
 Everything is plain Python on floats.  One private kernel per mode computes
 E along a row, at one gamma for a column of d; a single value is a row of
 one, so it rounds exactly as its cell of ``ghzdet sweep`` (correlation_rows).
-Where the signal leaves the normal range, exact mode runs the same kernel on
-one column scaled by powers of two, which is exact (_rescaled_correlation).
+Exact E divides through by P(fourfold | double pair) = f1^4:
+E = e_ghz t^3 / (1 + w^2 g), t = d / f1, w = (gamma / f1) sqrt(p_pair / p_twopair)
+and g the pair union over a.  Every factor is bounded, so one path holds on
+the whole domain, subnormal d, gamma and p_twopair included.  Approx mode,
+e_ghz / (1 + 6 (p_pair / p_twopair) (gamma / d)^2), is its leading order at
+t -> 1 and g -> 6, where gamma << d.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from . import lhv
@@ -60,7 +64,6 @@ ARRIVAL_TAGS = tuple("".join(name * n for name, n in zip(DETECTORS, counts))
 LHV_BOUND = lhv.F_BOUND / 4.0  # the model tetrad (E, E, E, -E) has |F| = 4|E|
 SEPARATION_CAP = 1e6
 PROB_TOL = 1e-12
-_LEAST_NORMAL = sys.float_info.min
 
 
 def _check_prob(name: str, value: float) -> float:
@@ -125,18 +128,16 @@ def gamma_from_rates(dark_rate: float, window: float) -> float:
     return gamma
 
 
-def _click_rule(d: float, k: int = 0) -> tuple[float, float, float, float, float]:
-    """(a1, b1, a2, b2, d^3): n photons fire a detector with a_n + b_n gamma.
+def _click_rule(d: float) -> tuple[float, float, float, float]:
+    """(a1, b1, a2, b2): n photons fire a detector with a_n + b_n gamma.
 
     This is the one statement of the rule.  b_n = (1-d)^n is the chance that
     none of the n photons is detected, so that only a dark count can fire the
     detector.  a1 = d, and a2 = d (1-d), which is not P(exactly one of two
     detected), 2 d (1-d): the click rule the term stands for is still open.
-    d and the a_n come in units of 2^-k, and d^3 in units of 2^-3k.
     """
     u = 1.0 - d
-    d = math.ldexp(d, -k)
-    return d, u, d * u, u * u, d * d * d
+    return d, u, d * u, u * u
 
 
 def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
@@ -145,43 +146,41 @@ def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
     gamma, then a_n + b_n gamma for n = 1, 2 from _click_rule, where the rule
     and its open two-photon term d (1-d) are stated.
     """
-    a1, b1, a2, b2, _ = _click_rule(d)
+    a1, b1, a2, b2 = _click_rule(d)
     return gamma, a1 + b1 * gamma, a2 + b2 * gamma
 
 
-def _fourfold_row(gamma: float, columns, p_pair: float, p_twopair: float,
-                  unit: float = 1.0) -> list[float]:
-    """[signal, P(fourfold)] at one gamma for each _click_rule column, as one flat list.
+def _normalised_row(gamma: float, columns) -> list[tuple[float, float, float]]:
+    """(t, z, g) at one gamma for each _click_rule column.
 
-    This is the one statement of the union over the ten channels of
-    ARRIVAL_COUNTS, in closed form.  The four detectors share d and gamma, so
-    each of the six channels with one photon on each of two detectors fires
-    all four with a = (f1 gamma)^2, and each of the four with both photons on
-    one detector with b = f2 gamma^3.  The union is then
-    1 - (1-a)^6 (1-b)^4 = a s6 + b s4 (1 - a s6), where
+    t = d / f1 and z = gamma / f1 divide by the one-photon firing probability
+    f1, so t and z lie in [0, 1] up to rounding.  g = U / a is the union U over
+    the ten channels of ARRIVAL_COUNTS per two-detector channel, in [1, 10];
+    this is the one statement of the union, in closed form.  The four
+    detectors share d and gamma, so each of the six channels with one photon
+    on each of two detectors fires all four with a = (f1 gamma)^2, and each
+    of the four with both photons on one detector with b = f2 gamma^3, so
+    b / a = (f2 / f1) z.  The union is 1 - (1-a)^6 (1-b)^4 = a s6 + b s4 (1 - a s6),
+    so g = s6 + (b / a) s4 (1 - a s6), where
     s_n = 1 + c + ... + c^(n-1) = (1 - c^n) / (1 - c) with c = 1 - a for s6
-    and c = 1 - b for s4.  Every term is nonnegative, so nothing cancels where
-    a ~ gamma^2, and only + - * are used.  p_pair multiplies f1 gamma before
-    it is squared, so that on a rescaled cell, where p_pair is scaled up,
-    p_pair a is not lost to an underflow of a.  a and b times unit are a and
-    b in true units: unit is 1.0 except on a rescaled cell.  The form rests on
+    and c = 1 - b for s4.  Every term is nonnegative, so nothing
+    cancels where a ~ gamma^2, and only + - * / are used.  The form rests on
     equal detectors; per-detector d and gamma would need the product of
     (1 - q) over ten distinct channels.
     """
-    g3 = gamma * gamma * gamma
-    terms: list[float] = []
+    terms = []
     put = terms.append
-    for a1, b1, a2, b2, d3 in columns:
+    for a1, b1, a2, b2 in columns:
         f1 = a1 + b1 * gamma
+        over = f1 or 1.0  # f1 = 0 only at d = gamma = 0, where a = b = 0
+        z = gamma / over
+        r = (a2 + b2 * gamma) / over * z  # b / a
         fg = f1 * gamma
         a = fg * fg
-        b = (a2 + b2 * gamma) * g3
-        c = 1.0 - a * unit
-        e = 1.0 - b * unit
+        c = 1.0 - a
+        e = 1.0 - r * a
         s6 = 1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c))))
-        rest = b * (1.0 + e * (1.0 + e * (1.0 + e))) * (1.0 - a * s6 * unit)
-        put(p_twopair * (d3 * f1))
-        put(p_pair * fg * fg * s6 + p_pair * rest + p_twopair * (f1 * f1 * f1 * f1))
+        put((a1 / over, z, s6 + r * (1.0 + e * (1.0 + e * (1.0 + e))) * (1.0 - a * s6)))
     return terms
 
 
@@ -191,10 +190,11 @@ def pair_fourfold_probability(d: float, gamma: float) -> float:
     A channel with photon counts (t, d1, d2, d3) at (T, D1, D2, D3) fires all
     four detectors with q = fire[t] fire[d1] fire[d2] fire[d3], independently
     of the other channels, so the union is 1 - prod(1 - q).  Six channels
-    share q = a and four share q = b, so it is 1 - (1-a)^6 (1-b)^4, which
-    _fourfold_row evaluates with geometric sums.
+    share q = a = (f1 gamma)^2 and four share q = b, so it is
+    1 - (1-a)^6 (1-b)^4 = a g, with g from _normalised_row.
     """
-    return _fourfold_row(gamma, (_click_rule(d),), 1.0, 0.0)[1]
+    fg = fire_probabilities(d, gamma)[1] * gamma
+    return fg * fg * _normalised_row(gamma, (_click_rule(d),))[0][2]
 
 
 def signal_probability(params: DetectorParams) -> float:
@@ -202,7 +202,8 @@ def signal_probability(params: DetectorParams) -> float:
 
     D1..D3 fire on their photons; T fires on its photon or a dark count.
     """
-    return _fourfold_row(params.gamma, (_click_rule(params.d),), params.p_pair, params.p_twopair)[0]
+    d = params.d
+    return params.p_twopair * (d * d * d * fire_probabilities(d, params.gamma)[1])
 
 
 def fourfold_probability(params: DetectorParams) -> float:
@@ -211,39 +212,19 @@ def fourfold_probability(params: DetectorParams) -> float:
     A double pair puts one photon on each detector, so it is a fourfold with
     probability (d + (1-d) gamma)^4, of which signal_probability is a part.
     """
-    return _fourfold_row(params.gamma, (_click_rule(params.d),), params.p_pair, params.p_twopair)[1]
-
-
-def _rescaled_correlation(d: float, gamma: float, p_pair: float, p_twopair: float,
-                          e_ghz: float) -> float:
-    """Exact E of a cell whose signal is below the normal range.
-
-    It runs _fourfold_row on one column scaled by powers of two, which is
-    exact.  d, gamma and the a_n of _click_rule are divided by 2^k, k the
-    exponent of max(d, gamma) but never above 0, so the channel probabilities
-    a and b of the union are in units of 2^-4k, and unit = 2^4k gives 1 - a
-    and 1 - b in true units.  p_pair and p_twopair are multiplied by 2^j, the
-    power of two that brings a p_twopair below 1/2 into [1/2, 1), with j at
-    most 1000 so that p_pair times the union stays finite.  Where gamma is far
-    below d, a itself may fall below the float range while p_pair a does not;
-    the kernel multiplies p_pair in before it squares f1 gamma, so that term
-    is kept.  A double pair then fires all four with at least 2^-78 in these
-    units, so P(fourfold) > 0 for every p_twopair > 0.
-    """
-    k = min(math.frexp(max(d, gamma))[1], 0)
-    j = min(max(-math.frexp(p_twopair)[1], 0), 1000)
-    signal, p4 = _fourfold_row(math.ldexp(gamma, -k), (_click_rule(d, k),), math.ldexp(p_pair, j),
-                               math.ldexp(p_twopair, j), math.ldexp(1.0, 4 * k))
-    return e_ghz * signal / p4
+    f1 = fire_probabilities(params.d, params.gamma)[1]
+    return (params.p_pair * pair_fourfold_probability(params.d, params.gamma)
+            + params.p_twopair * (f1 * f1 * f1 * f1))
 
 
 def _exact_row(gamma: float, columns, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
-    terms = iter(_fourfold_row(gamma, columns, p_pair, p_twopair))
-    # The signal is at most P(fourfold), so a normal signal leaves no 0 / 0.
-    # A column's a1 is its d.
-    return [e_ghz * signal / p4 if signal >= _LEAST_NORMAL
-            else _rescaled_correlation(column[0], gamma, p_pair, p_twopair, e_ghz)
-            for column, signal, p4 in zip(columns, terms, terms)]
+    # E = e_ghz t^3 / (1 + w^2 g), w = z sqrt(p_pair / p_twopair), with the
+    # two roots taken apart so that w is finite at a subnormal p_twopair.
+    # Where w > 1 both sides are divided by w, so that w^2 cannot overflow.
+    root = math.sqrt(p_pair) / math.sqrt(p_twopair)
+    return [e_ghz * t * t * t / (1.0 + w * w * g) if (w := z * root) <= 1.0
+            else e_ghz * t * t * t / w / (1.0 / w + w * g)
+            for t, z, g in _normalised_row(gamma, columns)]
 
 
 def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
@@ -251,8 +232,10 @@ def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float)
     # is no background, so E = e_ghz even where gamma/d or the ratio overflows.
     if not (p_pair and gamma):
         return [float(e_ghz)] * len(ds)
-    dilution = 6.0 * (p_pair / p_twopair)
-    return [e_ghz / (1.0 + dilution * (q := gamma / d) * q) for d in ds]
+    dilution, scaled = 6.0 * (p_pair / p_twopair), gamma
+    if dilution == math.inf:  # then q carries its square root, from the roots of p_pair and p_twopair
+        dilution, scaled = 1.0, gamma * (math.sqrt(6.0 * p_pair) / math.sqrt(p_twopair))
+    return [e_ghz / (1.0 + dilution * (q := scaled / d) * q) for d in ds]
 
 
 # Per mode, the column that its row reads for each d, and the row itself.
@@ -336,8 +319,9 @@ def find_gamma_for_correlation(
     """Invert the approx-mode correlation for gamma in closed form.
 
     E = e_ghz / (1 + 6 ratio gamma^2 / d^2) gives
-    gamma = d sqrt((e_ghz/E - 1) / (6 ratio)).  Targets that need gamma > 1
-    are rejected as not reached.
+    gamma = d sqrt((e_ghz/E - 1) / 6) / sqrt(ratio), the roots taken apart so
+    that 6 ratio cannot overflow.  Targets that need gamma > 1 are rejected
+    as not reached.
     """
     if not 0.0 < e_target <= e_ghz:
         raise ValueError(f"target {e_target} must lie in (0, e_ghz={e_ghz}]")
@@ -345,7 +329,7 @@ def find_gamma_for_correlation(
     excess = e_ghz / e_target - 1.0
     if excess == 0.0:
         return 0.0
-    gamma = d * math.sqrt(excess / (6.0 * ratio)) if d > 0.0 and ratio > 0.0 else math.inf
+    gamma = d * (math.sqrt(excess / 6.0) / math.sqrt(ratio)) if d > 0.0 and ratio > 0.0 else math.inf
     if gamma > 1.0:
         raise ValueError("target correlation not reached within gamma <= 1")
     return gamma

@@ -146,6 +146,15 @@ class TestCorrelation:
         assert code == 0, out.err
         assert json.loads(out.out)["e"] == 1.0
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_dark_counts_at_a_huge_ratio(self, capsys, mode):
+        # 6 p_pair / p_twopair overflows at ratio 1e308; approx E was once 0,
+        # though its formula gives 1 / (1 + 2.4e-11).
+        code, out = run_cli("correlation", "--d", "0.5", "--gamma", "1e-160", "--ratio", "1e308",
+                            "--mode", mode, capsys=capsys)
+        assert code == 0, out.err
+        assert out.out.splitlines()[0] == "E = 0.999999999976"
+
     @pytest.mark.parametrize(
         "rate, window, field",
         [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],
@@ -322,6 +331,19 @@ class TestSweep:
         )
         assert code == 0
         assert out_path.read_text().endswith("# contour E=1e-12\nd,gamma\n")
+
+    def test_contour_at_a_huge_ratio(self, tmp_path, capsys):
+        # 6 ratio overflows at ratio 1e308; the contour once read gamma = 0,
+        # where E = 1, at every d.
+        out_path = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            "sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "2",
+            "--d-min", "0.3", "--d-max", "0.7", "--d-steps", "3", "--ratio", "1e308",
+            "--contour", "0.5", "--out", str(out_path), capsys=capsys,
+        )
+        assert code == 0
+        block = out_path.read_text().split("# contour E=0.5\nd,gamma\n")[1]
+        assert block.splitlines()[1] == "0.5,2.04124145232e-155"
 
     def test_contour_crossed_at_large_gamma(self, tmp_path, capsys):
         # The grid reaches gamma = 1, and E = 0.5 at ratio 1 is crossed at

@@ -1,8 +1,11 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzdet import detector as det
 from ghzdet import lhv
@@ -84,6 +87,15 @@ def exact_e_reference(params):
         return float(params.e_ghz * signal / (p_pair * union + p_twopair * fire[1] ** 4))
 
 
+def approx_e_reference(params):
+    """The approx E of params at 60 digits: e_ghz / (1 + 6 (p_pair/p_twopair) (gamma/d)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        q = mpmath.mpf(params.gamma) / mpmath.mpf(params.d)
+        ratio = mpmath.mpf(params.p_pair) / mpmath.mpf(params.p_twopair)
+        return float(params.e_ghz / (1 + 6 * ratio * q * q))
+
+
 def bits(values):
     """The IEEE bytes of each float, so that nan equals nan and 0.0 differs from -0.0."""
     return [struct.pack("d", v) for v in values]
@@ -105,9 +117,8 @@ class TestClickRule:
     def test_fire_probabilities_follow_the_rule(self):
         # n photons fire a detector with a_n + b_n gamma, b_n = (1-d)^n.
         for d in RULE_VALUES:
-            a1, b1, a2, b2, d3 = det._click_rule(d)
-            assert bits([a1, b1, a2, b2, d3]) == bits([d, 1.0 - d, d * (1.0 - d),
-                                                       (1.0 - d) * (1.0 - d), d * d * d]), d
+            a1, b1, a2, b2 = det._click_rule(d)
+            assert bits([a1, b1, a2, b2]) == bits([d, 1.0 - d, d * (1.0 - d), (1.0 - d) * (1.0 - d)]), d
             for g in RULE_VALUES:
                 assert bits(det.fire_probabilities(d, g)) == bits([g, a1 + b1 * g, a2 + b2 * g]), (d, g)
 
@@ -170,20 +181,23 @@ class TestPairProbabilities:
                 assert abs(got - want) <= 4e-15 * want, (d, g, got, float(want))
 
     def test_float_equals_its_grid_cell(self):
-        # Each float equals its cell of a row bit for bit: the union of a row
-        # with p_pair = 1, and the signal, p_twopair d^3 (d + (1-d) gamma), and
-        # P(fourfold) of a row with the same creation split.
+        # Each float is built from its cell of a row bit for bit: the union
+        # a g, a = (f1 gamma)^2, from the row's g; the signal
+        # p_twopair d^3 (d + (1-d) gamma); and P(fourfold), p_pair a g +
+        # p_twopair f1^4.  t = d / f1 and z = gamma / f1, and at d = gamma = 0,
+        # where f1 = 0, both are 0.
         for g in UNION_GAMMAS:
-            columns = [det._click_rule(d) for d in UNION_DS]
-            row = det._fourfold_row(g, columns, 0.25, 0.75)
-            pair_row = det._fourfold_row(g, columns, 1.0, 0.0)
+            row = det._normalised_row(g, [det._click_rule(d) for d in UNION_DS])
             for j, d in enumerate(UNION_DS):
                 f1 = det.fire_probabilities(d, g)[1]
-                assert bits([row[2 * j]]) == bits([0.75 * (d * d * d * f1)]), (d, g)
-                assert bits([det.pair_fourfold_probability(d, g)]) == bits([pair_row[2 * j + 1]]), (d, g)
+                t, z, union_over_a = row[j]
+                assert bits([t, z]) == bits([d / f1, g / f1] if f1 else [0.0, 0.0]), (d, g)
+                assert 1.0 <= union_over_a <= 10.0, (d, g)
+                union = f1 * g * (f1 * g) * union_over_a
+                assert bits([det.pair_fourfold_probability(d, g)]) == bits([union]), (d, g)
                 params = DetectorParams(d, g, 0.25, 0.75)
                 assert bits([det.signal_probability(params), det.fourfold_probability(params)]) \
-                    == bits(row[2 * j : 2 * j + 2]), (d, g)
+                    == bits([0.75 * (d * d * d * f1), 0.25 * union + 0.75 * (f1 * f1 * f1 * f1)]), (d, g)
 
     def test_channels_are_six_of_two_detectors_and_four_of_one(self):
         # The closed form 1 - (1-a)^6 (1-b)^4 rests on these counts.
@@ -239,7 +253,7 @@ class TestCorrectedCorrelation:
     def test_least_twopair_without_darks_gives_ideal(self):
         # With no darks every fourfold is a correlated double pair, so E = 1
         # for any p_twopair > 0.  p_twopair times the signal underflows even
-        # when rescaled by d and gamma; this input once raised "fourfold
+        # when divided by d and gamma; this input once raised "fourfold
         # probability underflows to 0".
         assert det.corrected_correlation(DetectorParams(0.5, 0.0, 1.0, 5e-324), "exact") == 1.0
 
@@ -288,9 +302,9 @@ class TestCorrectedCorrelation:
     @pytest.mark.parametrize("ratio", [1e10, 1.0, 1e300])
     @pytest.mark.parametrize("shape", [(1e-60, 1.0), (1.0, 1e-150), (1e-200, 1e-3), (1e-3, 1e-150)])
     def test_exact_for_asymmetric_shapes(self, ratio, shape):
-        # One of d and gamma far below the other, so the rescaled cell's
-        # 2^-k follows the larger; E may leave the float range, so the bound
-        # is absolute at the least subnormal.
+        # One of d and gamma far below the other, so t = d / f1 or
+        # z = gamma / f1 is far below 1; E may leave the float range, so the
+        # bound is absolute at the least subnormal.
         for exponent in range(0, 330, 10):
             d, gamma = (x * 10.0 ** -exponent for x in shape)
             if d == 0.0:
@@ -299,10 +313,11 @@ class TestCorrectedCorrelation:
             e, want = det.corrected_correlation(p, "exact"), exact_e_reference(p)
             assert abs(e - want) <= max(1e-13 * want, 5e-324), (exponent, e, want)
 
-    def test_rescaled_cell_keeps_the_union_at_subnormal_twopair(self):
-        # gamma far below d with a subnormal p_twopair: in the rescaled cell's
-        # units the union, about (gamma/d)^2, may be below the float range
-        # while p_pair times it is not.  These inputs are reached only through
+    def test_union_kept_at_subnormal_twopair(self):
+        # gamma far below d with a subnormal p_twopair: the union, about
+        # 6 (d gamma)^2, may be below the float range while its share of the
+        # double pair's f1^4, about 6 (gamma/d)^2, times p_pair / p_twopair is
+        # not.  These inputs are reached only through
         # the API; from_ratio gives p_twopair of at least about 5.6e-309.
         # The first call once gave 1.0, the second 8.233841086867023e-05.
         e = det.corrected_correlation(DetectorParams(3.156471184333108e-55, 5.290260974779344e-218,
@@ -323,22 +338,47 @@ class TestCorrectedCorrelation:
                     cells += 1
         assert cells == 1110
 
-    def test_rescaled_cell_is_the_scaled_union(self):
-        # Where the signal is normal, scaling by powers of two is exact, so the
-        # rescaled cell gives the normal path's E bit for bit: it is the same
-        # union.  A fifteenth of the benchmark grid, then log-uniform grids.
-        grids = [([10.0 ** (-8 + 3 * i / 299) for i in range(0, 300, 15)],
-                  [0.3 + 0.6 * i / 299 for i in range(0, 300, 15)], 1e10)]
-        for ratio in (1e-3, 1.0, 1e3, 1e6, 1e10):
-            grids.append(([0.0] + [10.0 ** (-12 + 12 * i / 19) for i in range(20)],
-                          [10.0 ** (-3 + 3 * i / 19) for i in range(20)], ratio))
-        for gammas, ds, ratio in grids:
-            for g in gammas:
-                for d in ds:
-                    p = DetectorParams.from_ratio(d, g, ratio)
-                    assert det.signal_probability(p) >= det._LEAST_NORMAL, p
-                    e = det._rescaled_correlation(d, g, p.p_pair, p.p_twopair, p.e_ghz)
-                    assert bits([e]) == bits([det.corrected_correlation(p, "exact")]), p
+    @pytest.mark.parametrize("params, want", [
+        (DetectorParams.from_ratio(0.5, 1e-160, 1e308), 0.999999999976),
+        (DetectorParams(0.5, 1e-160, 1.0, 1e-320), 0.04),
+    ])
+    def test_approx_where_the_dilution_overflows(self, params, want):
+        # 6 p_pair / p_twopair overflows here, and approx E was once 0.
+        e = det.corrected_correlation(params, "approx")
+        assert e == pytest.approx(approx_e_reference(params), rel=1e-14, abs=0)
+        assert e == pytest.approx(want, rel=1e-4)
+        if params.p_twopair > 1e-310:
+            assert det.corrected_correlation(params, "exact") == pytest.approx(e, rel=1e-11)
+
+    def test_approx_against_the_closed_form(self):
+        # Ratios up to the largest from_ratio takes, and subnormal p_twopair
+        # through the API.  Where (gamma/d)^2 times the ratio overflows, E
+        # is below the least normal float and approx mode gives 0.
+        splits = [DetectorParams.from_ratio(1.0, 0.0, r)[2:4]
+                  for r in (1e-3, 1.0, 1e10, 1e300, 1e307, 4e307, 1e308, 1.7e308)]
+        splits += [(1.0, p_twopair) for p_twopair in (1e-300, 1e-310, 1e-320, 5e-324)]
+        cells = 0
+        for p_pair, p_twopair in splits:
+            for d in (1.0, 0.5, 1e-3, 1e-100, 1e-300):
+                for gamma in (1.0, 0.5, 1e-5, 1e-100, 1e-160, 1e-200, 1e-300, 5e-324):
+                    p = DetectorParams(d, gamma, p_pair, p_twopair, -0.7)
+                    e, want = det.corrected_correlation(p, "approx"), approx_e_reference(p)
+                    assert abs(e - want) <= max(1e-14 * abs(want), sys.float_info.min), (p, e, want)
+                    cells += 1
+        assert cells == 480
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0).filter(bool), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+           st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308))
+    def test_non_increasing_in_the_ratio(self, d, gamma, e_ghz, r1, r2):
+        # |E| = |e_ghz| d^3 f1 / (ratio U + f1^4) falls as the ratio grows
+        # (ROADMAP item 12), in both modes.  from_ratio rounds p_pair and
+        # p_twopair apart, so two close ratios may swap |E| by an ulp or two.
+        low, high = sorted((r1, r2))
+        for mode in ("approx", "exact"):
+            e_low, e_high = (abs(det.corrected_correlation(DetectorParams.from_ratio(d, gamma, r, e_ghz),
+                                                           mode)) for r in (low, high))
+            assert e_high <= e_low * (1.0 + 1e-15) + 5e-324, (mode, e_low, e_high)
 
     def test_mode_agreement_in_reported_regime(self):
         for gamma in (1e-7, 1e-6, 1e-5):
@@ -543,6 +583,21 @@ class TestGammaInversion:
             g = det.find_gamma_for_correlation(d, 1e10, 0.92)
             e = det.corrected_correlation(DetectorParams.from_ratio(d, g, 1e10), "approx")
             assert e == pytest.approx(0.92, abs=1e-14)
+
+    def test_round_trip_up_to_the_largest_ratio(self):
+        # 6 ratio overflows above about 3e307; it once made gamma 0.
+        assert det.find_gamma_for_correlation(0.5, 1e308, 0.5) == pytest.approx(2.0412414523e-155,
+                                                                               rel=1e-10)
+        for ratio in (1e-3, 1.0, 1e10, 1e300, 3e307, 1e308, 1.7e308):
+            for d in (1e-3, 0.3, 1.0):
+                for target in (1e-3, 0.5, 0.92, 1.0 - 1e-9):
+                    try:
+                        g = det.find_gamma_for_correlation(d, ratio, target)
+                    except ValueError:
+                        assert d * d * (1.0 / target - 1.0) > 6.0 * ratio, (d, ratio, target)
+                        continue
+                    e = det.corrected_correlation(DetectorParams.from_ratio(d, g, ratio), "approx")
+                    assert e == pytest.approx(target, abs=1e-12), (d, ratio, target, g)
 
     def test_unreachable_target_rejected(self):
         # E = 1e-12 needs gamma = 2.0 here; gamma is a probability.
