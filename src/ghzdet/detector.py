@@ -25,15 +25,16 @@ model tetrad.  The Monte Carlo in :mod:`ghzdet.montecarlo` shares only the firin
 probabilities and the channel table: it thins counts detector by detector and
 does not use the aggregates above.
 
-Everything is plain Python on floats.  One private kernel per mode computes
-E along a row, at one gamma for a column of d; a single value is a row of
-one, so it rounds exactly as its cell of ``ghzdet sweep`` (correlation_rows).
-Exact E divides through by P(fourfold | double pair) = f1^4:
-E = e_ghz t^3 / (1 + w^2 g), t = d / f1, w = (gamma / f1) sqrt(p_pair / p_twopair)
-and g the pair union over a.  Every factor is bounded, so one path holds on
-the whole domain, subnormal d, gamma and p_twopair included.  Approx mode,
-e_ghz / (1 + 6 (p_pair / p_twopair) (gamma / d)^2), is its leading order at
-t -> 1 and g -> 6, where gamma << d.
+Everything is plain Python on floats.  One private kernel, _row, computes E
+in both modes along a row, at one gamma for a column of d; a single value is
+a row of one, so it rounds exactly as its cell of ``ghzdet sweep``
+(correlation_rows).  E = e_ghz T / (1 + w^2 g), w = (gamma / f) sqrt(p_pair /
+p_twopair), and a mode only chooses T, f and g.  Exact E divides through by
+P(fourfold | double pair) = f1^4: T = (d / f1)^3, f = f1, g the pair union over
+a; every factor is bounded, so one path holds on the whole domain, subnormal
+d, gamma and p_twopair included.  Approx mode, e_ghz / (1 + 6 (p_pair /
+p_twopair) (gamma / d)^2), is its leading order for gamma << d: T = 1, f = d,
+g = 6.
 """
 
 from __future__ import annotations
@@ -151,22 +152,24 @@ def fire_probabilities(d: float, gamma: float) -> tuple[float, float, float]:
 
 
 def _normalised_row(gamma: float, columns) -> list[tuple[float, float, float]]:
-    """(t, z, g) at one gamma for each _click_rule column.
+    """Exact mode's (T, f, g) at one gamma for each _click_rule column.
 
-    t = d / f1 and z = gamma / f1 divide by the one-photon firing probability
-    f1, so t and z lie in [0, 1] up to rounding.  g = U / a is the union U over
-    the ten channels of ARRIVAL_COUNTS per two-detector channel, in [1, 10];
-    this is the one statement of the union, in closed form.  The four
-    detectors share d and gamma, so each of the six channels with one photon
-    on each of two detectors fires all four with a = (f1 gamma)^2, and each
-    of the four with both photons on one detector with b = f2 gamma^3, so
-    b / a = (f2 / f1) z.  The union is 1 - (1-a)^6 (1-b)^4 = a s6 + b s4 (1 - a s6),
-    so g = s6 + (b / a) s4 (1 - a s6), where
-    s_n = 1 + c + ... + c^(n-1) = (1 - c^n) / (1 - c) with c = 1 - a for s6
-    and c = 1 - b for s4.  Every term is nonnegative, so nothing
-    cancels where a ~ gamma^2, and only + - * / are used.  The form rests on
-    equal detectors; per-detector d and gamma would need the product of
-    (1 - q) over ten distinct channels.
+    f = f1, the one-photon firing probability (1 at d = gamma = 0, where
+    f1 = 0), and T = t^3, t = d / f1.  Where u = 1 - t = (1-d) z, z = gamma / f1,
+    is below 1/4, T = 1 - u (3 - u (3 - u)), so t is not rounded before it is
+    cubed; above 1/4 that sum's cancellation costs more than the cube.
+    g = U / a is the union U over the ten channels of ARRIVAL_COUNTS per
+    two-detector channel, in [1, 10]; this is the one statement of the union,
+    in closed form.  The four detectors share d and gamma, so each of the six
+    channels with one photon on each of two detectors fires all four with
+    a = (f1 gamma)^2, and each of the four with both photons on one detector
+    with b = f2 gamma^3, so b / a = (f2 / f1) z.  The union is
+    1 - (1-a)^6 (1-b)^4 = a s6 + b s4 (1 - a s6), so
+    g = s6 + (b / a) s4 (1 - a s6), where s_n = 1 + c + ... + c^(n-1) =
+    (1 - c^n) / (1 - c) with c = 1 - a for s6 and c = 1 - b for s4.  Every
+    term is nonnegative, so nothing cancels where a ~ gamma^2, and only
+    + - * / are used.  The form rests on equal detectors; per-detector d and
+    gamma would need the product of (1 - q) over ten distinct channels.
     """
     terms = []
     put = terms.append
@@ -180,7 +183,9 @@ def _normalised_row(gamma: float, columns) -> list[tuple[float, float, float]]:
         c = 1.0 - a
         e = 1.0 - r * a
         s6 = 1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c * (1.0 + c))))
-        put((a1 / over, z, s6 + r * (1.0 + e * (1.0 + e * (1.0 + e))) * (1.0 - a * s6)))
+        u = b1 * z
+        put((1.0 - u * (3.0 - u * (3.0 - u)) if u < 0.25 else (t := a1 / over) * t * t, over,
+             s6 + r * (1.0 + e * (1.0 + e * (1.0 + e))) * (1.0 - a * s6)))
     return terms
 
 
@@ -217,38 +222,32 @@ def fourfold_probability(params: DetectorParams) -> float:
             + params.p_twopair * (f1 * f1 * f1 * f1))
 
 
-def _exact_row(gamma: float, columns, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
-    # E = e_ghz t^3 / (1 + w^2 g), w = z sqrt(p_pair / p_twopair), with the
-    # two roots taken apart so that w is finite at a subnormal p_twopair.
-    # Where w > 1 both sides are divided by w, so that w^2 cannot overflow.
+def _row(gamma: float, cells, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
+    # E = e_ghz T / (1 + w^2 g), w = (gamma / f) root, the roots of p_pair and
+    # p_twopair taken apart so that root is finite at a subnormal p_twopair.
+    # gamma / f overflows only at a subnormal f, where gamma > 2^-50, so
+    # gamma root is 0 or normal and is divided by f instead.  Where w > 1
+    # both sides are divided by w, so that w^2 cannot overflow.
     root = math.sqrt(p_pair) / math.sqrt(p_twopair)
-    return [e_ghz * t * t * t / (1.0 + w * w * g) if (w := z * root) <= 1.0
-            else e_ghz * t * t * t / w / (1.0 / w + w * g)
-            for t, z, g in _normalised_row(gamma, columns)]
+    return [e_ghz * t3 / (1.0 + w * w * g)
+            if (w := q * root if (q := gamma / f) < math.inf else gamma * root / f) <= 1.0
+            else e_ghz * t3 / w / (1.0 / w + w * g) for t3, f, g in cells]
 
 
-def _approx_row(gamma: float, ds, p_pair: float, p_twopair: float, e_ghz: float) -> list[float]:
-    # (gamma/d)^2 as q q: d^2 alone underflows.  At ratio 0 or gamma 0 there
-    # is no background, so E = e_ghz even where gamma/d or the ratio overflows.
-    if not (p_pair and gamma):
-        return [float(e_ghz)] * len(ds)
-    dilution, scaled = 6.0 * (p_pair / p_twopair), gamma
-    if dilution == math.inf:  # then q carries its square root, from the roots of p_pair and p_twopair
-        dilution, scaled = 1.0, gamma * (math.sqrt(6.0 * p_pair) / math.sqrt(p_twopair))
-    return [e_ghz / (1.0 + dilution * (q := scaled / d) * q) for d in ds]
-
-
-# Per mode, the column that its row reads for each d, and the row itself.
-_MODES = {"approx": (float, _approx_row), "exact": (_click_rule, _exact_row)}
+# Per mode, the column kept for each d and its (T, f, g) cell at one gamma,
+# from which _row gives E; approx mode's is (1, d, 6) at every gamma.
+_MODES = {"approx": (lambda d: (1.0, d, 6.0), lambda gamma, columns: columns),
+          "exact": (_click_rule, _normalised_row)}
 
 
 def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float:
     """Conditional correlation E(S1 S2 S3 | fourfold), diluted by background.
 
-    mode="approx": e_ghz / [1 + 6 (p_pair/p_twopair) (gamma/d)^2], the leading
-    order expression valid for gamma << d and p_pair >> p_twopair.
     mode="exact": e_ghz * P(correlated fourfold) / P(fourfold), from the full
-    model.  Uncorrelated fourfolds contribute zero either way.
+    model: e_ghz T / (1 + w^2 g), T = (d / f1)^3, f = f1, g the pair union over
+    a and w = (gamma / f) sqrt(p_pair/p_twopair).  mode="approx", its leading
+    order for gamma << d: e_ghz / [1 + 6 (p_pair/p_twopair) (gamma/d)^2], at
+    T = 1, f = d and g = 6.  Uncorrelated fourfolds contribute zero either way.
     """
     if not params.d > 0.0:
         raise ValueError("d = 0: no photon is ever detected, correlation undefined")
@@ -256,8 +255,9 @@ def corrected_correlation(params: DetectorParams, mode: str = "approx") -> float
         raise ValueError("p_twopair = 0: no correlated quadruples are produced")
     if mode not in _MODES:
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    column, row = _MODES[mode]
-    return row(params.gamma, (column(params.d),), params.p_pair, params.p_twopair, params.e_ghz)[0]
+    column, factors = _MODES[mode]
+    return _row(params.gamma, factors(params.gamma, (column(params.d),)), params.p_pair,
+                params.p_twopair, params.e_ghz)[0]
 
 
 def correlation_from_ratio(r: float, e_ghz: float = 1.0) -> float:
@@ -308,9 +308,9 @@ def correlation_rows(gammas, ds, ratio: float, e_ghz: float = 1.0, mode: str = "
         _check_prob("gamma", gamma)
     least = DetectorParams.from_ratio(min(_check_prob("d", d) for d in ds), 0.0, ratio, e_ghz)
     corrected_correlation(least, mode)  # checks d > 0 and the mode
-    column, row = _MODES[mode]
+    column, factors = _MODES[mode]
     columns = [column(d) for d in ds]
-    return (_cells(row(g, columns, least.p_pair, least.p_twopair, e_ghz)) for g in gammas)
+    return (_cells(_row(g, factors(g, columns), least.p_pair, least.p_twopair, e_ghz)) for g in gammas)
 
 
 def find_gamma_for_correlation(

@@ -102,20 +102,30 @@ class FeasibilityReport(namedtuple("FeasibilityReport", "feasible slacks f_value
     __slots__ = ()
 
 
+def _sums(e_a: float, e_b: float, e_c: float, e_abc: float) -> tuple[float, float, float, float]:
+    """The four inequality sums v1 = F, v2, v3, v4, each added left to right:
+    sum() of floats is compensated from Python 3.12 and would round
+    differently next to a bound."""
+    return (e_a + e_b + e_c - e_abc, e_b - e_a + e_c + e_abc,
+            e_a - e_b + e_c + e_abc, e_a + e_b - e_c + e_abc)
+
+
+def _inside(e_a: float, e_b: float, e_c: float, e_abc: float) -> bool:
+    """|v| <= F_BOUND for each sum v, true iff both of v's slacks are >= 0:
+    near zero they are exact by Sterbenz's lemma, so rounding cannot carry
+    them across it."""
+    v1, v2, v3, v4 = _sums(e_a, e_b, e_c, e_abc)
+    return abs(v1) <= F_BOUND and abs(v2) <= F_BOUND and abs(v3) <= F_BOUND and abs(v4) <= F_BOUND
+
+
 def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
     """Evaluate the four two-sided inequalities; feasible iff all hold.
 
     Bounds are inclusive: a tetrad sitting exactly on a bound is feasible.
     This is the one decision: feasible_oracle gives a witness exactly when
-    it says feasible.  The sums v1..v4 are written out left to right, as in
-    feasible_oracle, because sum() of floats is compensated from Python 3.12
-    and would round differently from the oracle next to a bound.
+    it says feasible, from the same four sums.
     """
-    e_a, e_b, e_c, e_abc = c
-    v1 = e_a + e_b + e_c - e_abc
-    v2 = e_b - e_a + e_c + e_abc
-    v3 = e_a - e_b + e_c + e_abc
-    v4 = e_a + e_b - e_c + e_abc
+    v1, v2, v3, v4 = _sums(*c)
     # (distance above the lower bound, distance below the upper bound) per sum
     slacks = (v1 + F_BOUND, F_BOUND - v1, v2 + F_BOUND, F_BOUND - v2,
               v3 + F_BOUND, F_BOUND - v3, v4 + F_BOUND, F_BOUND - v4)
@@ -123,17 +133,8 @@ def check_inequalities(c: CorrelationSet) -> FeasibilityReport:
 
 
 def feasible_oracle(c: CorrelationSet) -> Optional[JointDistribution8]:
-    """The closed-form witness, or None exactly when check_inequalities says infeasible.
-
-    It decides from check_inequalities' four sums v, added in the same order.
-    |v| <= F_BOUND iff both slacks are >= 0: near zero they are exact by
-    Sterbenz's lemma, so rounding cannot carry them across it.
-    """
-    e_a, e_b, e_c, e_abc = c
-    if (abs(e_a + e_b + e_c - e_abc) <= F_BOUND and abs(e_b - e_a + e_c + e_abc) <= F_BOUND
-            and abs(e_a - e_b + e_c + e_abc) <= F_BOUND and abs(e_a + e_b - e_c + e_abc) <= F_BOUND):
-        return _witness(c)
-    return None
+    """The closed-form witness, or None exactly when check_inequalities says infeasible."""
+    return _witness(c) if _inside(*c) else None
 
 
 def _witness(c: CorrelationSet) -> JointDistribution8:
@@ -172,15 +173,13 @@ def feasible_mask_inequalities(tetrads: Iterable[Sequence[float]]) -> list[bool]
 
     The tetrads may be tuples, lists or the rows of an (n, 4) array; for an
     array the entries are numpy bools.  Each entry is the scalar decision bit
-    for bit: the same four sums in the same order, with no numpy.  A row
+    for bit: the same _inside test of the same four sums, with no numpy.  A row
     outside [-1, 1]^4, which CorrelationSet rejects and no model reproduces,
     gives False.
     """
     return [
-        abs(e_a + e_b + e_c - e_abc) <= F_BOUND and abs(e_b - e_a + e_c + e_abc) <= F_BOUND
-        and abs(e_a - e_b + e_c + e_abc) <= F_BOUND and abs(e_a + e_b - e_c + e_abc) <= F_BOUND
-        and -1.0 <= e_a <= 1.0 and -1.0 <= e_b <= 1.0 and -1.0 <= e_c <= 1.0
-        and -1.0 <= e_abc <= 1.0
+        _inside(e_a, e_b, e_c, e_abc) and -1.0 <= e_a <= 1.0 and -1.0 <= e_b <= 1.0
+        and -1.0 <= e_c <= 1.0 and -1.0 <= e_abc <= 1.0
         for e_a, e_b, e_c, e_abc in tetrads
     ]
 

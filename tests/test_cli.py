@@ -155,6 +155,15 @@ class TestCorrelation:
         assert code == 0, out.err
         assert out.out.splitlines()[0] == "E = 0.999999999976"
 
+    def test_dark_counts_where_gamma_over_d_overflows(self, capsys):
+        # gamma / d = 1e310 overflows, yet at ratio 5e-324 the approx formula
+        # gives 1 / (1 + 6 ratio 1e620) = 3.37e-298; approx E was once 0.
+        code, out = run_cli("correlation", "--d", "1e-310", "--gamma", "1", "--ratio", "5e-324",
+                            "--json", capsys=capsys)
+        assert code == 0, out.err
+        want = 3.3733708884551564e-298
+        assert abs(json.loads(out.out)["e"] - want) <= 2 * math.ulp(want)
+
     @pytest.mark.parametrize(
         "rate, window, field",
         [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],

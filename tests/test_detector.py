@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 import sys
 
@@ -184,14 +185,16 @@ class TestPairProbabilities:
         # Each float is built from its cell of a row bit for bit: the union
         # a g, a = (f1 gamma)^2, from the row's g; the signal
         # p_twopair d^3 (d + (1-d) gamma); and P(fourfold), p_pair a g +
-        # p_twopair f1^4.  t = d / f1 and z = gamma / f1, and at d = gamma = 0,
-        # where f1 = 0, both are 0.
+        # p_twopair f1^4.  f = f1 and T = (d / f1)^3, and at d = gamma = 0,
+        # where f1 = 0, both are 1.
         for g in UNION_GAMMAS:
             row = det._normalised_row(g, [det._click_rule(d) for d in UNION_DS])
             for j, d in enumerate(UNION_DS):
                 f1 = det.fire_probabilities(d, g)[1]
-                t, z, union_over_a = row[j]
-                assert bits([t, z]) == bits([d / f1, g / f1] if f1 else [0.0, 0.0]), (d, g)
+                t3, f, union_over_a = row[j]
+                assert bits([f]) == bits([f1 or 1.0]), (d, g)
+                assert 0.0 <= t3 <= 1.0, (d, g)
+                assert t3 == pytest.approx((d / f1) ** 3 if f1 else 1.0, rel=1e-15, abs=0), (d, g)
                 assert 1.0 <= union_over_a <= 10.0, (d, g)
                 union = f1 * g * (f1 * g) * union_over_a
                 assert bits([det.pair_fourfold_probability(d, g)]) == bits([union]), (d, g)
@@ -353,19 +356,44 @@ class TestCorrectedCorrelation:
     def test_approx_against_the_closed_form(self):
         # Ratios up to the largest from_ratio takes, and subnormal p_twopair
         # through the API.  Where (gamma/d)^2 times the ratio overflows, E
-        # is below the least normal float and approx mode gives 0.
+        # is below the least normal float and approx mode gives 0.  At
+        # d = 1e-310 and ratio 5e-324, gamma/d overflows while E does not;
+        # approx mode once gave 0 there.
         splits = [DetectorParams.from_ratio(1.0, 0.0, r)[2:4]
-                  for r in (1e-3, 1.0, 1e10, 1e300, 1e307, 4e307, 1e308, 1.7e308)]
+                  for r in (5e-324, 1e-3, 1.0, 1e10, 1e300, 1e307, 4e307, 1e308, 1.7e308)]
         splits += [(1.0, p_twopair) for p_twopair in (1e-300, 1e-310, 1e-320, 5e-324)]
         cells = 0
         for p_pair, p_twopair in splits:
-            for d in (1.0, 0.5, 1e-3, 1e-100, 1e-300):
+            for d in (1.0, 0.5, 1e-3, 1e-100, 1e-300, 1e-310):
                 for gamma in (1.0, 0.5, 1e-5, 1e-100, 1e-160, 1e-200, 1e-300, 5e-324):
                     p = DetectorParams(d, gamma, p_pair, p_twopair, -0.7)
                     e, want = det.corrected_correlation(p, "approx"), approx_e_reference(p)
                     assert abs(e - want) <= max(1e-14 * abs(want), sys.float_info.min), (p, e, want)
                     cells += 1
-        assert cells == 480
+        assert cells == 624
+
+    def test_exact_paper_point_is_the_nearest_float(self):
+        # t = d / f1 is not rounded before it is cubed: E once came out
+        # 0.9204696830127156, 4 ulps off.
+        p = DetectorParams.from_ratio(0.5, 6e-7, 1e10)
+        assert det.corrected_correlation(p, "exact") == exact_e_reference(p) == 0.9204696830127151
+
+    def test_both_modes_against_mpmath_on_random_cells(self):
+        # d and gamma log-uniform down to 1e-320 (gamma also 0 or uniform),
+        # ratios from 5e-324 to 1e300 and, one cell in five, a subnormal
+        # p_twopair: E is within 1e-15 where it is normal, else 2 ulps.
+        rng = random.Random(26)
+        for i in range(1500):
+            d = 10.0 ** rng.uniform(-320.0, 0.0)
+            gamma = rng.choice([0.0, 10.0 ** rng.uniform(-320.0, 0.0), rng.random()])
+            if i % 5 == 0:
+                p = DetectorParams(d, gamma, 1.0, 10.0 ** rng.uniform(-323.3, -308.0))
+            else:
+                ratio = 10.0 ** rng.uniform(-323.0, 300.0) if i % 3 else rng.uniform(0.0, 10.0)
+                p = DetectorParams.from_ratio(d, gamma, ratio, rng.uniform(-1.0, 1.0))
+            for mode, reference in (("approx", approx_e_reference), ("exact", exact_e_reference)):
+                e, want = det.corrected_correlation(p, mode), reference(p)
+                assert abs(e - want) <= max(1e-15 * abs(want), 2 * 5e-324), (mode, p, e, want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.0).filter(bool), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
