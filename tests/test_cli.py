@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 
@@ -405,9 +407,16 @@ class TestSweep:
         ("--ratio", "-1"), ("--ratio", "nan"), ("--e-ghz", "2"),
         ("--d-min", "0"), ("--gamma-steps", "1"),
     ])
-    def test_rejected_grid_writes_no_file(self, tmp_path, capsys, flag, value):
-        # The file is opened only after every check of the grid.  The flag
-        # comes last, and argparse keeps the last value given.
+    def test_rejected_grid_writes_no_file(self, tmp_path, capsys, monkeypatch, flag, value):
+        # The file is opened, and a helper forked, only after every check of
+        # the grid, so a rejected grid forks nothing even where it would run
+        # on two processes.  The flag comes last, and argparse keeps the last
+        # value given.
+        def fork():
+            raise AssertionError("forked before the grid was checked")
+
+        monkeypatch.setattr(cli, "_parts", lambda cells: 2)
+        monkeypatch.setattr(os, "fork", fork)
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(
             "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
@@ -471,15 +480,22 @@ class TestSweep:
         # encoded, grew the peak resident set by 24 MB over the imports;
         # writing it row by row grows it by 8 MB.  VmHWM is this process's
         # own peak; ru_maxrss would carry the parent's peak into the child.
+        # The sweep runs on two processes.  A helper starts as a copy of the
+        # parent, so its peak, ru_maxrss of the reaped children, is bounded
+        # from the parent's VmHWM before the sweep.  On Linux and Python 3.11
+        # it read about 2 MB below that mark, and 9 MB above it where the
+        # helper joined its half of the rows into one text before sending.
         script = (
-            "import sys\n"
+            "import resource, sys\n"
             "from ghzdet import cli\n"
+            "cli._parts = lambda cells: 2\n"
             "def hwm():\n"
             "    with open('/proc/self/status') as f:\n"
             "        return next(int(ln.split()[1]) for ln in f if ln.startswith('VmHWM:'))\n"
             "before = hwm()\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(code, hwm() - before)\n"
+            "helpers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(code, hwm() - before, helpers - before)\n"
         )
         proc = subprocess.run([
             sys.executable, "-c", script, "sweep", "--mode", mode,
@@ -488,9 +504,120 @@ class TestSweep:
             "--ratio", "1e10", "--out", str(tmp_path / "sweep.csv"),
         ] + (["--contour", "0.92"] if mode == "approx" else []),
             capture_output=True, text=True, check=True)
-        code, growth_kb = map(int, proc.stdout.split()[-2:])
+        code, growth_kb, helper_kb = map(int, proc.stdout.split()[-3:])
         assert code == 0
         assert growth_kb <= 16 * 1024
+        assert helper_kb <= 4 * 1024
+
+
+# The benchmark's 300 x 300 grid.
+GRID_300 = ("--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300",
+            "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300", "--ratio", "1e10")
+
+
+def sweep_bytes(tmp_path, monkeypatch, parts, *flags):
+    """The CSV a sweep writes when it runs on `parts` processes."""
+    monkeypatch.setattr(cli, "_parts", lambda cells: parts)
+    out_path = tmp_path / f"sweep-{parts}.csv"
+    assert cli.main(["sweep", *flags, "--out", str(out_path)]) == 0
+    return out_path.read_bytes()
+
+
+class TestSweepParts:
+    """A sweep's rows are shared by forked helpers, one per CPU, and the
+    parent writes them in gamma order, so the CSV does not depend on how many
+    processes made it."""
+
+    def test_part_count(self):
+        assert cli._parts(20 * 7) == 1  # the README's example: too small to split
+        assert cli._parts(cli._FORK_CELLS - 1) == 1
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            assert cli._parts(300 * 300) == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("parts", [2, 3, 10])  # 10: more parts than rows
+    @pytest.mark.parametrize("gamma_steps", [2, 3, 7])
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_small_grids_same_bytes(self, tmp_path, monkeypatch, capsys, parts, gamma_steps, mode):
+        flags = ("--gamma-min", "1e-12", "--gamma-max", "1e-3", "--gamma-steps", str(gamma_steps),
+                 "--d-min", "0.1", "--d-max", "0.9", "--d-steps", "5", "--ratio", "1e10",
+                 "--mode", mode) + (("--contour", "0.92") if mode == "approx" else ())
+        assert sweep_bytes(tmp_path, monkeypatch, parts, *flags) == sweep_bytes(
+            tmp_path, monkeypatch, 1, *flags)
+
+    @pytest.mark.parametrize("flags", [("--mode", "approx", "--contour", "0.92"),
+                                       ("--mode", "exact")], ids=["approx", "exact"])
+    def test_benchmark_grid_same_bytes(self, tmp_path, monkeypatch, capsys, flags):
+        one = sweep_bytes(tmp_path, monkeypatch, 1, *GRID_300, *flags)
+        for parts in (2, 3):
+            assert sweep_bytes(tmp_path, monkeypatch, parts, *GRID_300, *flags) == one
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_pinned_to_one_cpu_same_bytes(self, tmp_path):
+        cpu = min(os.sched_getaffinity(0))
+
+        def sweep(name, preexec_fn=None):
+            out_path = tmp_path / name
+            subprocess.run([sys.executable, "-m", "ghzdet.cli", "sweep", *GRID_300,
+                            "--mode", "exact", "--out", str(out_path)],
+                           capture_output=True, check=True, preexec_fn=preexec_fn, timeout=60)
+            return out_path.read_bytes()
+
+        assert sweep("pinned.csv", lambda: os.sched_setaffinity(0, {cpu})) == sweep("free.csv")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_write_failure_leaves_no_helper(self, monkeypatch, capsys, parts):
+        # A helper left running, or not reaped, would outlive the call.
+        monkeypatch.setattr(cli, "_parts", lambda cells: parts)
+        code, out = run_cli("sweep", *GRID_300, "--out", "/dev/full", capsys=capsys)
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("error: cannot write /dev/full: ")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_helper_is_a_write_error(self, tmp_path, monkeypatch, capsys):
+        # A helper that stops before sending its rows says nothing itself;
+        # the parent reports the file it could not complete.
+        parent, correlation_rows = os.getpid(), detector.correlation_rows
+
+        def rows(*args):
+            for row in correlation_rows(*args):
+                if os.getpid() != parent:
+                    raise RuntimeError("helper failed")
+                yield row
+
+        monkeypatch.setattr(cli, "_parts", lambda cells: 2)
+        monkeypatch.setattr(detector, "correlation_rows", rows)
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli("sweep", *GRID_300, "--out", str(out_path), capsys=capsys)
+        assert (code, out.out) == (2, "")
+        assert out.err == (f"error: cannot write {out_path}: "
+                           "a sweep helper stopped before it sent all its rows\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_beside_a_thread_warns_nothing(self, tmp_path, monkeypatch, capsys):
+        # From Python 3.12 os.fork warns where the process runs other threads,
+        # as it does once numpy is imported, and the sweep silences that one
+        # warning around its fork.  Warnings are recorded here, since 3.12 and
+        # 3.13 drop the exception that the `error` filter makes of it.
+        monkeypatch.setattr(cli, "_parts", lambda cells: 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _ = run_cli("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5",
+                                  "--gamma-steps", "4", "--d-min", "0.3", "--d-max", "0.9",
+                                  "--d-steps", "3", "--ratio", "1e10",
+                                  "--out", str(tmp_path / "sweep.csv"), capsys=capsys)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
 
 
 class TestSimulate:

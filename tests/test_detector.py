@@ -631,3 +631,44 @@ class TestGammaInversion:
         # E = 1e-12 needs gamma = 2.0 here; gamma is a probability.
         with pytest.raises(ValueError, match="gamma <= 1"):
             det.find_gamma_for_correlation(0.5, 1e10, 1e-12)
+
+
+class TestSymbolicIdentities:
+    """The model's closed forms, proved with sympy from ARRIVAL_COUNTS and the
+    polynomial of fire_probabilities.  The four detectors share d and gamma
+    here; per-detector parameters would break the union's form."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        sympy = pytest.importorskip("sympy")
+        d, gamma = sympy.symbols("d gamma", positive=True)
+        # The click rule's 1.0 and its products become exact rationals.
+        fire = [sympy.nsimplify(f, rational=True) for f in det.fire_probabilities(d, gamma)]
+        return sympy, d, gamma, fire
+
+    def test_pair_union_closed_form(self, model):
+        sympy, d, gamma, fire = model
+        none_fire = sympy.Integer(1)
+        for counts in det.ARRIVAL_COUNTS:
+            none_fire *= 1 - sympy.prod(fire[n] for n in counts)
+        a = (fire[1] * gamma) ** 2
+        b = fire[2] * gamma ** 3
+        assert sympy.expand((1 - none_fire) - (1 - (1 - a) ** 6 * (1 - b) ** 4)) == 0
+
+    def test_two_photons_fire_as_one_times_one_minus_d(self, model):
+        sympy, d, _, fire = model
+        assert sympy.expand(fire[2] - (1 - d) * fire[1]) == 0
+
+    def test_exact_correlation_normalised_by_the_double_pair(self, model):
+        # E = e_ghz signal / P(fourfold), where a double pair fires every
+        # detector on its one photon (f1^4), of which the correlated part
+        # fires D1..D3 on their photons (d^3 f1), and a single pair gives the
+        # union U.  _row's form: e_ghz T / (1 + w^2 g), T = (d / f1)^3,
+        # w = (gamma / f1) sqrt(p_pair / p_twopair) and g = U / (f1 gamma)^2.
+        sympy, d, gamma, fire = model
+        e_ghz, p_pair, p_twopair, union = sympy.symbols("e_ghz p_pair p_twopair U", positive=True)
+        f1 = fire[1]
+        signal = p_twopair * d ** 3 * f1
+        fourfold = p_pair * union + p_twopair * f1 ** 4
+        t, w2, g = (d / f1) ** 3, (gamma / f1) ** 2 * p_pair / p_twopair, union / (f1 * gamma) ** 2
+        assert sympy.cancel(e_ghz * signal / fourfold - e_ghz * t / (1 + w2 * g)) == 0

@@ -13,9 +13,11 @@ interpreter running them never imports numpy.  The records are named tuples,
 so none of these statements imports dataclasses either.  `simulate` draws
 from the standard library's `random` and builds no array, so it runs without
 numpy in every output form, and it and `sweep` run even where numpy cannot
-be imported.  `simulate` does import dataclasses, for montecarlo's RunConfig
-alone: its results RunStats and ComparisonReport are named tuples like every
-other record.  Only quantum.sample_many still imports numpy.
+be imported.  `sweep` shares its rows with helpers made by os.fork, so it
+loads no process-pool module and no subprocess.  `simulate` does import
+dataclasses, for montecarlo's RunConfig alone: its results RunStats and
+ComparisonReport are named tuples like every other record.  Only
+quantum.sample_many still imports numpy.
 """
 
 import json
@@ -138,3 +140,15 @@ def test_sweep_runs_where_numpy_cannot_be_imported(argv):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"wrote 90000 rows to {os.devnull}\n"
+
+
+@pytest.mark.parametrize("argv", [SWEEP + ("--contour", "0.92"), SWEEP + ("--mode", "exact")],
+                         ids=["approx-contour", "exact"])
+def test_sweep_loads_no_process_module(argv):
+    script = (f"import sys\n{cli_call(*argv)}\n"
+              "print(*sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} "
+              "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"wrote 90000 rows to {os.devnull}", ""]
