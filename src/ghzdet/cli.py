@@ -9,6 +9,14 @@ sweep add detector, quantum adds quantum, and simulate adds detector,
 quantum and montecarlo.  sweep runs its rows on every CPU the process may
 use, in helpers made by os.fork, and its CSV is byte-identical on any number
 of CPUs; `taskset -c 0 ghzdet sweep ...` pins it to one.
+
+Negative values may be written in any form float() reads, such as -5e-1 or
+-inf.  --json prints one object: check the fields of lhv.FeasibilityReport
+and the witness atoms (or null); construct-joint the atoms and the recovered
+expectations; correlation e, sigma and separation; simulate the fields of
+montecarlo.RunStats, no_coincidences and the fields of
+montecarlo.ComparisonReport; quantum the setting, its expectation and the
+outcomes.
 """
 
 from __future__ import annotations
@@ -48,14 +56,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = lhv.check_inequalities(c)
     witness = lhv.feasible_oracle(c)  # None exactly when report says infeasible
     if args.json:
-        _emit_json(
-            {
-                "feasible": report.feasible,
-                "f_value": report.f_value,
-                "slacks": list(report.slacks),
-                "witness": None if witness is None else list(witness.probs),
-            }
-        )
+        _emit_json({**report._asdict(), "witness": None if witness is None else witness.probs})
     else:
         verdict = "feasible" if report.feasible else "infeasible"
         print(f"{verdict}, F={fmt(report.f_value)}")
@@ -77,7 +78,7 @@ def cmd_construct_joint(args: argparse.Namespace) -> int:
     joint = lhv.construct_symmetric_joint(args.p, args.q)
     back = lhv.expectations_from_joint(joint)
     if args.json:
-        _emit_json({"atoms": list(joint.probs), "expectations": list(back)})
+        _emit_json({"atoms": joint.probs, "expectations": back})
     else:
         for label, p in zip(lhv.ATOM_LABELS, joint.probs):
             print(f"P({label}) = {fmt(p)}")
@@ -116,23 +117,6 @@ def _resolve_gamma(args: argparse.Namespace) -> float:
     return detector.gamma_from_rates(args.dark_rate, args.window)
 
 
-def _print_correlation(payload: dict, as_json: bool) -> None:
-    from . import detector
-
-    if as_json:
-        _emit_json(payload)
-        return
-    print(f"E = {fmt(payload['e'])}")
-    print(f"sigma = {fmt(payload['sigma'])}")
-    sep = payload["separation"]
-    if sep != sep:  # NaN: at or below the LHV bound
-        print(f"separation = n/a (|E| <= {fmt(detector.LHV_BOUND)})")
-    elif sep == float("inf"):
-        print("separation = saturated")
-    else:
-        print(f"separation = {fmt(sep)}")
-
-
 def cmd_correlation(args: argparse.Namespace) -> int:
     from . import detector
 
@@ -150,9 +134,18 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         ratio = 1e10 if args.ratio is None else args.ratio
         params = detector.DetectorParams.from_ratio(d, gamma, ratio, args.e_ghz)
         e = detector.corrected_correlation(params, mode=args.mode or "approx")
-    payload = {"e": e, "sigma": detector.sigma_of_correlation(e),
-               "separation": detector.sigma_separation(e)}
-    _print_correlation(payload, args.json)
+    sigma, sep = detector.sigma_of_correlation(e), detector.sigma_separation(e)
+    if args.json:
+        _emit_json({"e": e, "sigma": sigma, "separation": sep})
+        return EXIT_OK
+    print(f"E = {fmt(e)}")
+    print(f"sigma = {fmt(sigma)}")
+    if sep != sep:  # NaN: at or below the LHV bound
+        print(f"separation = n/a (|E| <= {fmt(detector.LHV_BOUND)})")
+    elif sep == float("inf"):
+        print("separation = saturated")
+    else:
+        print(f"separation = {fmt(sep)}")
     return EXIT_OK
 
 
@@ -370,23 +363,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         stats = montecarlo.run(cfg)
     report = montecarlo.compare_analytic(stats, cfg.params, cfg.setting)
-    payload = {
-        "n_trials": stats.n_trials,
-        "n_fourfold": stats.n_fourfold,
-        "n_ghz_fourfold": stats.n_ghz_fourfold,
-        "no_coincidences": stats.no_coincidences,
-        "e_hat": stats.e_hat,
-        "std_err": stats.std_err,
-        "p4_hat": stats.p4_hat,
-        "analytic_e": report.analytic_e,
-        "analytic_p4": report.analytic_p4,
-        "z_correlation": report.z_correlation,
-        "z_fourfold": report.z_fourfold,
-        "comparable": report.comparable,
-        "flagged": report.flagged,
-    }
     if args.json:
-        _emit_json(payload)
+        _emit_json({**stats._asdict(), "no_coincidences": stats.no_coincidences,
+                    **report._asdict()})
         return EXIT_OK
     print(f"trials = {stats.n_trials}")
     print(f"fourfold coincidences = {stats.n_fourfold}")
@@ -440,8 +419,28 @@ def cmd_quantum(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads each token float() takes, such as -5e-1
+    or -inf, as a value, not an option; add_subparsers builds each
+    subcommand's parser with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A private argparse name; its regex misses -inf (and -5e-1 on Python 3.11).
+        self._negative_number_matcher = self
+
+    @staticmethod
+    def match(token: str) -> bool:
+        """Whether a token that starts with '-' is a number."""
+        try:
+            float(token)
+            return True
+        except ValueError:
+            return False
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ghzdet", description=__doc__)
+    parser = _Parser(prog="ghzdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="joint-distribution feasibility of a moment tetrad")

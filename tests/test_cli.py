@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from ghzdet import cli, detector
+from ghzdet import cli, detector, lhv, montecarlo
+from test_detector import exact_e_reference
 
 
 def run_cli(*argv, capsys=None):
@@ -451,7 +452,6 @@ class TestSweep:
     def test_exact_sweep_at_tiny_d_and_gamma(self, tmp_path, capsys):
         # The signal leaves the normal range on this grid; the exact sweep
         # once stopped with "fourfold probability underflows" (exit 2).
-        mpmath = pytest.importorskip("mpmath")
         out_path = tmp_path / "sweep.csv"
         code, out = run_cli(
             "sweep", "--gamma-min", "1e-100", "--gamma-max", "1e-80", "--gamma-steps", "3",
@@ -461,17 +461,10 @@ class TestSweep:
         assert (code, out.err) == (0, "")
         rows = [list(map(float, row.split(","))) for row in out_path.read_text().splitlines()[1:]]
         assert len(rows) == 9
-        p_pair, p_twopair = 1e10 / (1.0 + 1e10), 1.0 / (1.0 + 1e10)
-        with mpmath.workdps(60):
-            for gamma, d, e, _, _ in rows:
-                md, mg = mpmath.mpf(d), mpmath.mpf(gamma)
-                fire = (mg, md + (1 - md) * mg, md * (1 - md) + (1 - md) ** 2 * mg)
-                union = mpmath.mpf(0)
-                for t, d1, d2, d3 in detector.ARRIVAL_COUNTS:
-                    union += fire[t] * fire[d1] * fire[d2] * fire[d3] * (1 - union)
-                want = p_twopair * md**3 * fire[1] / (p_pair * union + p_twopair * fire[1] ** 4)
-                # The CSV prints 12 digits of E, gamma and d.
-                assert e == pytest.approx(float(want), rel=1e-10), (gamma, d)
+        for gamma, d, e, _, _ in rows:
+            want = exact_e_reference(detector.DetectorParams.from_ratio(d, gamma, 1e10))
+            # The CSV prints 12 digits of E, gamma and d.
+            assert e == pytest.approx(want, rel=1e-10), (gamma, d)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     @pytest.mark.parametrize("mode", ["approx", "exact"])
@@ -928,3 +921,114 @@ class TestJsonRoundTrip:
         payload = json.loads(out.out)
         # full float round trip: loads(dumps(x)) == x
         assert json.loads(json.dumps(payload)) == payload
+
+
+def as_json(value):
+    """value as --json prints it and json reads it back: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
+class TestJsonSchema:
+    """--json prints the result records themselves: their fields in their
+    order, with the values a direct call returns."""
+
+    @pytest.mark.parametrize("tetrad, feasible", [(("0.5", "0.5", "0.5", "-0.5"), True),
+                                                  (("0.9", "0.9", "0.9", "-0.9"), False)])
+    def test_check_prints_the_feasibility_report(self, capsys, tetrad, feasible):
+        code, out = run_cli("check", *tetrad, "--json", capsys=capsys)
+        payload = json.loads(out.out)
+        c = lhv.CorrelationSet(*map(float, tetrad))
+        report, witness = lhv.check_inequalities(c), lhv.feasible_oracle(c)
+        assert (code, report.feasible) == ((0, True) if feasible else (1, False))
+        assert list(payload) == [*lhv.FeasibilityReport._fields, "witness"]
+        assert payload.pop("witness") == (list(witness.probs) if feasible else None)
+        assert payload == as_json(report._asdict())
+
+    @pytest.mark.parametrize("trials, seed, fourfolds", [(1_000, 1, False), (1_000_000, 42, True)])
+    def test_simulate_prints_run_stats_and_comparison(self, capsys, trials, seed, fourfolds):
+        code, out = run_cli("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+                            "--trials", str(trials), "--seed", str(seed), "--json", capsys=capsys)
+        payload = json.loads(out.out)
+        params = detector.DetectorParams(0.5, 1e-2, 0.99, 1.0 - 0.99)
+        stats = montecarlo.run(montecarlo.RunConfig(params, "XYY", trials, seed))
+        report = montecarlo.compare_analytic(stats, params, "XYY")
+        assert (code, stats.no_coincidences) == (0, not fourfolds)
+        assert list(payload) == [*montecarlo.RunStats._fields, "no_coincidences",
+                                 *montecarlo.ComparisonReport._fields]
+        assert payload.pop("no_coincidences") is stats.no_coincidences
+        stats_keys = set(montecarlo.RunStats._fields)
+        assert {k: v for k, v in payload.items() if k in stats_keys} == as_json(stats._asdict())
+        assert {k: v for k, v in payload.items() if k not in stats_keys} == as_json(report._asdict())
+
+
+SWEEP_3X3 = ("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
+             "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "3", "--ratio", "1e10")
+SIMULATE_1K = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+               "--trials", "1000", "--seed", "1", "--json")
+
+
+def replaced(argv, name, value):
+    """argv with the value that follows name replaced."""
+    at = argv.index(name) + 1
+    return argv[:at] + (value,) + argv[at + 1:]
+
+
+# A call with {} where a negative value goes, and that value in plain and in
+# exponent form: every numeric positional and float option of each subcommand.
+NEGATIVE_VALUES = [
+    (("check", "{}", "0.5", "0.5", "0.5", "--json"), "-0.5", "-5e-1"),
+    (("check", "0.5", "{}", "0.5", "0.5"), "-0.5", "-5E-1"),
+    (("check", "0.5", "0.5", "{}", "0.5"), "-1", "-1e0"),
+    (("check", "0.5", "0.5", "0.5", "{}"), "-0.5", "-5e-1"),
+    (("construct-joint", "{}", "0.4"), "-0.5", "-5e-1"),
+    (("construct-joint", "0.8", "{}"), "-0.4", "-4e-1"),
+    (("correlation", "--ratio-counts", "1:12", "--e-ghz", "{}"), "-1", "-1e0"),
+    (("correlation", "--d", "0.5", "--gamma", "6e-7", "--e-ghz", "{}", "--json"), "-0.5", "-5e-1"),
+    (("correlation", "--d", "{}", "--gamma", "6e-7"), "-0.5", "-5e-1"),
+    (("correlation", "--gamma", "{}"), "-0.0000006", "-6e-7"),
+    (("correlation", "--dark-rate", "{}", "--window", "2e-9"), "-300", "-3e2"),
+    (("correlation", "--dark-rate", "300", "--window", "{}"), "-0.000000002", "-2e-9"),
+    (("correlation", "--gamma", "6e-7", "--ratio", "{}"), "-10000000000", "-1e10"),
+    (SWEEP_3X3 + ("--e-ghz", "{}"), "-1", "-1e0"),
+    (SWEEP_3X3 + ("--contour", "{}"), "-0.5", "-5e-1"),
+    (replaced(SWEEP_3X3, "--gamma-min", "{}"), "-0.00000001", "-1e-8"),
+    (replaced(SWEEP_3X3, "--gamma-max", "{}"), "-0.00001", "-1e-5"),
+    (replaced(SWEEP_3X3, "--d-min", "{}"), "-0.3", "-3e-1"),
+    (replaced(SWEEP_3X3, "--d-max", "{}"), "-0.9", "-9e-1"),
+    (replaced(SWEEP_3X3, "--ratio", "{}"), "-10000000000", "-1e10"),
+    (SIMULATE_1K + ("--e-ghz", "{}"), "-0.5", "-5e-1"),
+    (replaced(SIMULATE_1K, "--d", "{}"), "-0.5", "-5e-1"),
+    (replaced(SIMULATE_1K, "--gamma", "{}"), "-0.01", "-1e-2"),
+    (replaced(SIMULATE_1K, "--pair", "{}"), "-0.99", "-9.9e-1"),
+    (("simulate", "--d", "0.5", "--gamma", "1e-2", "--ratio", "{}", "--trials", "1000",
+      "--seed", "1", "--json"), "-99", "-9.9e1"),
+]
+
+
+class TestNegativeNumbers:
+    """argparse reads a negative number as a value only in the forms -1 and
+    -.5 (on Python 3.11); ghzdet reads every form float() takes."""
+
+    @pytest.mark.parametrize("template, plain, exponent", NEGATIVE_VALUES,
+                             ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_exponent_form_gives_the_plain_output(self, tmp_path, capsys, template, plain, exponent):
+        results = []
+        for value in (plain, exponent):
+            argv = [value if a == "{}" else a for a in template]
+            if argv[0] == "sweep":
+                argv += ["--out", str(tmp_path / "sweep.csv")]
+            code, out = run_cli(*argv, capsys=capsys)  # argparse's usage error raises SystemExit
+            written = tmp_path / "sweep.csv"
+            results.append((code, out.out, out.err, written.read_bytes() if written.exists() else None))
+            written.unlink(missing_ok=True)
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "1", "1", "1", "-inf"), "e_abc=-inf outside [-1, 1]"),
+        (("check", "-inf", "1", "1", "1"), "e_a=-inf outside [-1, 1]"),
+        (("check", "1", "1", "1", "-nan"), "e_abc=nan outside [-1, 1]"),
+        (("correlation", "--ratio-counts", "1:12", "--e-ghz", "-inf"), "e_ghz=-inf outside [-1, 1]"),
+    ])
+    def test_non_finite_values_reach_the_range_checks(self, capsys, argv, message):
+        code, out = run_cli(*argv, capsys=capsys)
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")

@@ -70,6 +70,12 @@ def twopair(d, gamma):
     return DetectorParams(d, gamma, 0.0, 1.0)
 
 
+def fire_reference(d, gamma):
+    """P(a detector fires) with 0, 1 and 2 photons on it, for floats or mpmath
+    numbers: the tests' one statement of the click rule's polynomial."""
+    return gamma, d + (1 - d) * gamma, d * (1 - d) + (1 - d) ** 2 * gamma
+
+
 def exact_e_reference(params):
     """The exact E of params at 60 digits.
 
@@ -80,7 +86,7 @@ def exact_e_reference(params):
     with mpmath.workdps(60):
         d, g = mpmath.mpf(params.d), mpmath.mpf(params.gamma)
         p_pair, p_twopair = mpmath.mpf(params.p_pair), mpmath.mpf(params.p_twopair)
-        fire = (g, d + (1 - d) * g, d * (1 - d) + (1 - d) ** 2 * g)
+        fire = fire_reference(d, g)
         union = mpmath.mpf(0)
         for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
             union += fire[t] * fire[d1] * fire[d2] * fire[d3] * (1 - union)
@@ -172,8 +178,7 @@ class TestPairProbabilities:
         for d in UNION_DS:
             for g in UNION_GAMMAS:
                 with mpmath.workdps(100):
-                    md, mg = mpmath.mpf(d), mpmath.mpf(g)
-                    fire = (mg, md + (1 - md) * mg, md * (1 - md) + (1 - md) ** 2 * mg)
+                    fire = fire_reference(mpmath.mpf(d), mpmath.mpf(g))
                     miss = mpmath.mpf(1)
                     for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
                         miss *= 1 - fire[t] * fire[d1] * fire[d2] * fire[d3]
@@ -633,6 +638,23 @@ class TestGammaInversion:
             det.find_gamma_for_correlation(0.5, 1e10, 1e-12)
 
 
+def nonnegative_on_unit_box(sympy, expr, *xs) -> bool:
+    """Whether the polynomial expr is certified >= 0 for every xs in [0, 1]^n.
+
+    Put x = y / (1 + y), which maps y in [0, inf) onto x in [0, 1), and
+    multiply by (1 + y)^n for n the degree in x: a term c x^k becomes
+    c y^k (1 + y)^(n - k).  If every coefficient of the result in the ys is
+    >= 0 (these are expr's Bernstein coefficients times binomials), expr is
+    >= 0 on [0, 1)^n, and by continuity on [0, 1]^n.
+    """
+    poly = sympy.Poly(sympy.expand(expr), *xs)
+    ys = sympy.symbols(f"y:{len(xs)}")
+    degrees = poly.degree_list()
+    total = sum(c * sympy.prod([y**k * (1 + y) ** (n - k) for y, k, n in zip(ys, powers, degrees)])
+                for powers, c in poly.terms())
+    return all(c >= 0 for c in sympy.Poly(sympy.expand(total), *ys).coeffs())
+
+
 class TestSymbolicIdentities:
     """The model's closed forms, proved with sympy from ARRIVAL_COUNTS and the
     polynomial of fire_probabilities.  The four detectors share d and gamma
@@ -672,3 +694,36 @@ class TestSymbolicIdentities:
         fourfold = p_pair * union + p_twopair * f1 ** 4
         t, w2, g = (d / f1) ** 3, (gamma / f1) ** 2 * p_pair / p_twopair, union / (f1 * gamma) ** 2
         assert sympy.cancel(e_ghz * signal / fourfold - e_ghz * t / (1 + w2 * g)) == 0
+
+    def test_t_and_z_lie_in_the_unit_interval(self, model):
+        # Over d, gamma in [0, 1], f1 - d = (1 - d) gamma and f1 - gamma =
+        # d (1 - gamma) are >= 0, so f1 >= max(d, gamma), which is > 0 off
+        # (0, 0).  There t = d / f1 and z = gamma / f1 lie in [0, 1]; t > 0
+        # where d > 0.  _normalised_row claims T = t^3 in [0, 1], and _row
+        # relies on z <= 1 in exact mode.
+        sympy, d, gamma, fire = model
+        f1 = fire[1]
+        assert sympy.expand(f1 - d - (1 - d) * gamma) == 0
+        assert sympy.expand(f1 - gamma - d * (1 - gamma)) == 0
+        assert nonnegative_on_unit_box(sympy, f1 - d, d, gamma)
+        assert nonnegative_on_unit_box(sympy, f1 - gamma, d, gamma)
+
+    def test_g_lies_between_1_and_10(self, model):
+        # g = U / a, with a = (f1 gamma)^2 and b = f2 gamma^3 = r a, where
+        # r = b / a = (f2 / f1) z.  Over d, gamma in [0, 1]: a is in [0, 1]
+        # since 1 - f1 >= 0, and r is in [0, 1] since f1 - (f2 / f1) gamma
+        # >= 0 (the z bound gives r >= 0).  Then over a, r in [0, 1],
+        # _normalised_row's g = s6 + r s4 (1 - a s6) is the union per a, and
+        # g - 1 >= 0 and 10 - g >= 0: U >= 1 - (1-a)^6 >= a, and U <= 6a + 4b
+        # with b <= a.  At a = 0 (gamma = 0) g is the limit 6 + 4r.
+        sympy, d, gamma, fire = model
+        f1, f2 = fire[1], fire[2]
+        assert nonnegative_on_unit_box(sympy, 1 - f1, d, gamma)
+        assert nonnegative_on_unit_box(sympy, sympy.cancel(f1 - f2 / f1 * gamma), d, gamma)
+        a, r = sympy.symbols("a r")
+        c, e = 1 - a, 1 - r * a
+        s6 = 1 + c * (1 + c * (1 + c * (1 + c * (1 + c))))
+        g = s6 + r * (1 + e * (1 + e * (1 + e))) * (1 - a * s6)
+        assert sympy.expand(a * g - (1 - (1 - a) ** 6 * (1 - r * a) ** 4)) == 0
+        assert nonnegative_on_unit_box(sympy, g - 1, a, r)
+        assert nonnegative_on_unit_box(sympy, 10 - g, a, r)

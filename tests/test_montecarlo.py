@@ -11,6 +11,7 @@ from ghzdet import detector as det
 from ghzdet import montecarlo as mc
 from ghzdet.detector import DetectorParams
 from ghzdet.montecarlo import RunConfig, compare_analytic, run
+from test_detector import fire_reference
 
 SCALED = DetectorParams(0.5, 1e-2, 0.99, 0.01)
 
@@ -106,7 +107,7 @@ class TestRun:
         # fourfold rate is their union, not their sum.  The model is written
         # out here from per-detector firing probabilities.
         d, gamma, p_pair = 0.9, 0.2, 0.5
-        fire0, fire1, fire2 = gamma, d + (1 - d) * gamma, d * (1 - d) + (1 - d) ** 2 * gamma
+        fire0, fire1, fire2 = fire_reference(d, gamma)
         q_distinct = fire1**2 * fire0**2
         q_same = fire2 * fire0**3
         p_single = 1 - (1 - q_distinct) ** 6 * (1 - q_same) ** 4
