@@ -1,14 +1,15 @@
 """Command-line front end: feasibility checks, corrected correlations,
 parameter sweeps, and the seeded coincidence simulation.
 
-Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error.
-Numbers are printed with 12 significant digits.  Every subcommand runs on
-plain floats and the standard library, without numpy, and imports only the
-layers it runs: check and construct-joint use lhv alone, correlation and
-sweep add detector, quantum adds quantum, and simulate adds detector,
-quantum and montecarlo.  sweep runs its rows on every CPU the process may
-use, in helpers made by os.fork, and its CSV is byte-identical on any number
-of CPUs; `taskset -c 0 ghzdet sweep ...` pins it to one.
+Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error, output
+that cannot be written or memory that runs out.  Numbers are printed with 12
+significant digits.  Every subcommand runs on plain floats and the standard
+library, without numpy, and imports only the layers it runs: check and
+construct-joint use lhv alone, correlation and sweep add detector, quantum adds
+quantum, and simulate adds detector, quantum and montecarlo.  sweep runs its
+rows on every CPU the process may use, in os.fork helpers that send them by
+marshal, with a CSV byte-identical on any number of CPUs; `taskset -c 0 ghzdet
+sweep ...` pins it to one, and rows that could reach 2 GiB stay in one process.
 
 Negative values may be written in any form float() reads, such as -5e-1 or
 -inf.  --json prints one object: check the fields of lhv.FeasibilityReport
@@ -22,10 +23,12 @@ outcomes.
 from __future__ import annotations
 
 import argparse
+import marshal
 import math
 import os
 import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Optional
 
@@ -185,17 +188,23 @@ def _parts(cells: int) -> int:
     return os.cpu_count() or 1
 
 
+def _sweep_parts(gamma_steps: int, d_steps: int) -> int:
+    """Processes for a sweep: _parts, one per row at most, and one where a row's
+    text, at most 96 bytes a cell, could reach marshal's limit of 2 GiB."""
+    return 1 if d_steps * 96 >= 1 << 31 else min(_parts(gamma_steps * d_steps), gamma_steps)
+
+
 def _fork_helper(rows) -> tuple[int, BinaryIO]:
-    """Fork a helper that sends each text of rows on a pipe, its byte length
-    in 8 bytes first; return its pid and the pipe's read end.  The helper
-    writes nothing to stdout or stderr and leaves only by os._exit."""
+    """Fork a helper that sends each text of rows on a pipe by marshal.dump,
+    so a text stays below 2 GiB (see _sweep_parts); return its pid and the
+    pipe's read end.  It writes nothing to stdout or stderr and leaves only by os._exit."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # From Python 3.12 fork warns where other threads run, such as
             # numpy's BLAS pool, since a child that takes a lock one of them
             # held deadlocks.  The helper takes none: it does arithmetic, %
-            # formatting and os.write, then calls os._exit.
+            # formatting and marshal.dump to a new file, then calls os._exit.
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
@@ -206,28 +215,13 @@ def _fork_helper(rows) -> tuple[int, BinaryIO]:
     if pid:
         os.close(write_fd)
         return pid, open(read_fd, "rb")
-    code = 1
     try:
         os.close(read_fd)
-        for text in rows:
-            data = text.encode()
-            data = memoryview(len(data).to_bytes(8, "little") + data)
-            while data:
-                data = data[os.write(write_fd, data):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _received(reader: BinaryIO):
-    """The texts a helper of _fork_helper sends on its pipe, in turn."""
-    while True:
-        head = reader.read(8)
-        size = int.from_bytes(head, "little")
-        data = reader.read(size)
-        if len(head) < 8 or len(data) < size:
-            raise OSError("a sweep helper stopped before it sent all its rows")
-        yield data.decode()
+        with open(write_fd, "wb") as pipe:
+            for text in rows:
+                marshal.dump(text, pipe)
+    finally:  # the parent reads no status: a pipe that ends early is the failure
+        os._exit(0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -253,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # each process holds one row and a pipe's buffer, and the file is the
     # same bytes for every k.  correlation_rows checks a part's inputs when
     # called, so a rejected input forks nothing and leaves no file.
-    k = min(_parts(len(gammas) * len(ds)), len(gammas))
+    k = _sweep_parts(len(gammas), len(ds))
     parts = [((g + g.join(tails)) % tuple(cells) for g, cells in zip(
         map(fmt, gammas[j::k]),
         detector.correlation_rows(gammas[j::k], ds, args.ratio, args.e_ghz, args.mode)))
@@ -262,7 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:  # a fork, the open, every write and the final flush on close can fail
         for rows in parts[1:]:
             helpers.append(_fork_helper(rows))
-        parts[1:] = [_received(reader) for _, reader in helpers]  # read from the pipes
+        parts[1:] = [map(marshal.load, repeat(reader)) for _, reader in helpers]
         with open(args.out, "w") as stream:
             stream.write("gamma,d,E,sigma,separation\n")
             for i in range(len(gammas)):
@@ -277,18 +271,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     except ValueError:
                         continue  # level set does not cross this d-column
                     stream.write(f"{d_str},{g:.12g}\n")
-    except BaseException as exc:
-        import signal
-
-        for pid, _ in helpers:  # stopped here, reaped below
-            os.kill(pid, signal.SIGKILL)
-        if isinstance(exc, OSError):
-            raise ValueError(f"cannot write {args.out}: {exc}") from exc
-        raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
+    except EOFError as exc:  # marshal.load on a pipe that ended early
+        raise ValueError(f"cannot write {args.out}: a sweep helper stopped "
+                         "before it sent all its rows") from exc
     finally:
+        if helpers:
+            import signal
         for pid, reader in helpers:
-            reader.close()
+            # Finished or not: later helpers hold the read end of its pipe too.
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            reader.close()
     print(f"wrote {len(gammas) * len(ds)} rows to {args.out}")
     return EXIT_OK
 
@@ -522,9 +517,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             # parser types them and a command-line flag, parsed later, wins.
             at = argv.index("simulate") + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()  # so that output that cannot be written fails here
+        return code
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError has no message
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
+        if isinstance(exc, OSError):  # stdout: drop its rest, which would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

@@ -287,7 +287,7 @@ def _z(observed: float, expected: float, se: float) -> float:
     return 0.0 if observed == expected else math.copysign(math.inf, observed - expected)
 
 
-def compare_analytic(stats: RunStats, params: DetectorParams, setting: str = "XYY") -> ComparisonReport:
+def compare_analytic(stats: RunStats, params: DetectorParams, setting: str) -> ComparisonReport:
     """z-scores of the empirical statistics against the closed-form model.
 
     The analytic correlation is the exact-mode corrected correlation times the

@@ -527,6 +527,20 @@ class TestSweepParts:
         if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             assert cli._parts(300 * 300) == len(os.sched_getaffinity(0))
 
+    def test_rows_marshal_cannot_send_run_in_one_process(self, monkeypatch):
+        # marshal writes no object of 2 GiB or more.  A cell's text is at
+        # most 96 bytes: five %.12g fields of a 3-digit exponent, E with a
+        # sign, four commas and a newline.  So a gamma row of 2^31 / 96 d
+        # steps or more stays in the parent, and no row is ever too big.
+        x = 1.23456789012e-100  # gamma, d, E, sigma and separation
+        widest = (x, x, -x, x, x)
+        assert len("%.12g,%.12g,%.12g,%.12g,%.12g\n" % widest) == 96
+        monkeypatch.setattr(cli, "_parts", lambda cells: 4)
+        fits = (1 << 31) // 96  # 22,369,621 cells: 2,147,483,616 bytes
+        assert cli._sweep_parts(300, fits) == 4
+        assert cli._sweep_parts(300, fits + 1) == 1
+        assert cli._sweep_parts(3, 300) == 3  # one part per row at most
+
     @pytest.mark.parametrize("parts", [2, 3, 10])  # 10: more parts than rows
     @pytest.mark.parametrize("gamma_steps", [2, 3, 7])
     @pytest.mark.parametrize("mode", ["approx", "exact"])
@@ -881,6 +895,63 @@ HELP_WORDS = {
                     "--trials", "--seed", "--workers", "--events", "--json"),
     ("quantum",): ("setting", "--json"),
 }
+
+
+class TestErrorsExitTwo:
+    """Exit 1 means an LHV-infeasible tetrad and nothing else: output that
+    cannot be written, or memory that runs out, is one error line on stderr
+    and exit 2.  Each case runs in a fresh interpreter, as it would from a
+    shell.  With stdout buffered, the failed write is the flush at the end of
+    main, and the interpreter's own flush at exit must not fail again (exit
+    120); unbuffered, it is the first print."""
+
+    COMMANDS = [("check", "0.5", "0.5", "0.5", "-0.5"),  # feasible: exit 0 where written
+                ("correlation", "--ratio-counts", "1:12", "--json")]
+
+    @staticmethod
+    def ghzdet(*argv, buffered=True, **kwargs):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-m", "ghzdet.cli", *argv], stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=env, **kwargs)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_stdout_pipe_without_a_reader(self, argv, buffered):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # before the child starts, so its first write fails
+        try:
+            proc = self.ghzdet(*argv, buffered=buffered, stdout=write_fd)
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_stdout_on_a_full_device(self, argv, buffered):
+        with open("/dev/full", "w") as full:
+            proc = self.ghzdet(*argv, buffered=buffered, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    def test_memory_that_runs_out(self):
+        # 1e8 d steps do not fit under the limit, and _linspace raises
+        # MemoryError.  256 MiB rather than the 1 GiB of the huge-grid test
+        # above, so that the axis fills a quarter of the memory and time.
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            limit = 1 << 28
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = self.ghzdet("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5",
+                           "--gamma-steps", "2", "--d-min", "0.3", "--d-max", "0.9",
+                           "--d-steps", "100000000", "--ratio", "1e10", "--out", os.devnull,
+                           stdout=subprocess.PIPE, preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 class TestHelp:

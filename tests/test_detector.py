@@ -655,6 +655,14 @@ def nonnegative_on_unit_box(sympy, expr, *xs) -> bool:
     return all(c >= 0 for c in sympy.Poly(sympy.expand(total), *ys).coeffs())
 
 
+def union_per_a(sympy):
+    """(a, r, g): _normalised_row's g = U / a as a polynomial in a and r = b / a."""
+    a, r = sympy.symbols("a r")
+    c, e = 1 - a, 1 - r * a
+    s6 = 1 + c * (1 + c * (1 + c * (1 + c * (1 + c))))
+    return a, r, s6 + r * (1 + e * (1 + e * (1 + e))) * (1 - a * s6)
+
+
 class TestSymbolicIdentities:
     """The model's closed forms, proved with sympy from ARRIVAL_COUNTS and the
     polynomial of fire_probabilities.  The four detectors share d and gamma
@@ -720,10 +728,34 @@ class TestSymbolicIdentities:
         f1, f2 = fire[1], fire[2]
         assert nonnegative_on_unit_box(sympy, 1 - f1, d, gamma)
         assert nonnegative_on_unit_box(sympy, sympy.cancel(f1 - f2 / f1 * gamma), d, gamma)
-        a, r = sympy.symbols("a r")
-        c, e = 1 - a, 1 - r * a
-        s6 = 1 + c * (1 + c * (1 + c * (1 + c * (1 + c))))
-        g = s6 + r * (1 + e * (1 + e * (1 + e))) * (1 - a * s6)
+        a, r, g = union_per_a(sympy)
         assert sympy.expand(a * g - (1 - (1 - a) ** 6 * (1 - r * a) ** 4)) == 0
         assert nonnegative_on_unit_box(sympy, g - 1, a, r)
         assert nonnegative_on_unit_box(sympy, 10 - g, a, r)
+
+    def test_e_does_not_fall_as_d_rises(self, model):
+        # With t = d / f1, z = gamma / f1, a = (f1 gamma)^2 and r = b / a =
+        # (1 - d) z, exact E = e_ghz t^3 / (1 + R z^2 g(a, r)), R = p_pair /
+        # p_twopair >= 0.  Over d, gamma in [0, 1] (off (0, 0), where f1 > 0):
+        # dt/dd = gamma / f1^2 >= 0 and da/dd = 2 gamma^2 (1 - gamma) f1 >= 0,
+        # while dz/dd = -gamma (1 - gamma) / f1^2 <= 0 and dr/dd = -gamma / f1^2
+        # <= 0.  On a, r in [0, 1], -dg/da >= 0 and dg/dr >= 0, so g does not
+        # rise as d does: a rises and r falls.  So 1 + R z^2 g, which is >= 1,
+        # does not rise, t^3 >= 0 does not fall, and E does not fall as d
+        # rises where e_ghz >= 0; where e_ghz < 0, |E| does not.  Approx E,
+        # e_ghz / (1 + 6 R (gamma / d)^2), does not either, as (gamma / d)^2
+        # falls.  This is what a bisection or a corner rule in d may rest on.
+        sympy, d, gamma, fire = model
+        f1, f2 = fire[1], fire[2]
+        t, z = d / f1, gamma / f1
+        a, r = (f1 * gamma) ** 2, sympy.cancel(f2 / f1 * z)
+        assert sympy.cancel(r - (1 - d) * z) == 0
+        for x, slope, sign in [(t, gamma / f1 ** 2, 1), (a, 2 * gamma ** 2 * (1 - gamma) * f1, 1),
+                               (z, -gamma * (1 - gamma) / f1 ** 2, -1), (r, -gamma / f1 ** 2, -1)]:
+            assert sympy.cancel(sympy.diff(x, d) - slope) == 0
+            # f1^2 > 0, so the slope has the sign of the polynomial slope f1^2.
+            assert nonnegative_on_unit_box(sympy, sympy.cancel(sign * slope * f1 ** 2), d, gamma)
+        assert sympy.cancel(sympy.diff((gamma / d) ** 2, d) + 2 * gamma ** 2 / d ** 3) == 0
+        a, r, g = union_per_a(sympy)
+        assert nonnegative_on_unit_box(sympy, -sympy.diff(g, a), a, r)
+        assert nonnegative_on_unit_box(sympy, sympy.diff(g, r), a, r)

@@ -285,7 +285,8 @@ class TestCompareAnalytic:
     def test_z_uses_the_model_standard_error(self):
         # With the empirical error sqrt(1 - 0.98^2)/10 = 0.0199 this is z = 4.02
         # and flagged; the model's sqrt(1 - 0.9^2)/10 = 0.0436 gives z = 1.84.
-        report = compare_analytic(self.hand_built(0.98), DetectorParams(1.0, 0.0, 0.0, 1.0, 0.9))
+        report = compare_analytic(self.hand_built(0.98), DetectorParams(1.0, 0.0, 0.0, 1.0, 0.9),
+                                  "XYY")
         assert report.analytic_e == 0.9
         assert report.z_correlation == pytest.approx(0.08 / math.sqrt(0.19 / 100), rel=1e-12)
         assert not report.flagged
@@ -313,10 +314,16 @@ class TestCompareAnalytic:
     ])
     def test_perfect_model_rate(self, stats, params, z):
         # p4 = 0 or 1 has no spread either: the same rule as for |E| = 1.
-        report = compare_analytic(stats, params)
+        report = compare_analytic(stats, params, "XYY")
         assert report.analytic_p4 in (0.0, 1.0)
         assert report.z_fourfold == z
         assert report.flagged == (z != 0.0)
+
+    def test_setting_is_required(self):
+        # No default: a correct XXX run (d 0.9, gamma 0.02, p_pair 0.5, 1e6
+        # windows, seed 1) compared as XYY gives z_correlation -8272.
+        with pytest.raises(TypeError):
+            compare_analytic(self.hand_built(1.0), DetectorParams(1.0, 0.0, 0.0, 1.0))
 
     def test_sign_follows_setting(self):
         cfg = scaled_config(setting="XXX", n_trials=2_000_000)
