@@ -3,21 +3,21 @@ parameter sweeps, and the seeded coincidence simulation.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 input or domain error, output
 that cannot be written or memory that runs out.  Numbers are printed with 12
-significant digits.  Every subcommand runs on plain floats and the standard
-library, without numpy, and imports only the layers it runs: check and
+significant digits.  Negative values may be written in any form float() reads,
+such as -5e-1 or -inf.  --json prints one object: check the fields of
+lhv.FeasibilityReport and the witness atoms (or null); construct-joint the
+atoms and the recovered expectations; correlation e, sigma and separation;
+simulate the fields of montecarlo.RunStats, no_coincidences and the fields of
+montecarlo.ComparisonReport; quantum the setting, its expectation and the
+outcomes.
+
+Every subcommand runs on plain floats and the standard library (no module of
+ghzdet imports numpy) and imports only the layers it runs: check and
 construct-joint use lhv alone, correlation and sweep add detector, quantum adds
 quantum, and simulate adds detector, quantum and montecarlo.  sweep runs its
 rows on every CPU the process may use, in os.fork helpers that send them by
 marshal, with a CSV byte-identical on any number of CPUs; `taskset -c 0 ghzdet
 sweep ...` pins it to one, and rows that could reach 2 GiB stay in one process.
-
-Negative values may be written in any form float() reads, such as -5e-1 or
--inf.  --json prints one object: check the fields of lhv.FeasibilityReport
-and the witness atoms (or null); construct-joint the atoms and the recovered
-expectations; correlation e, sigma and separation; simulate the fields of
-montecarlo.RunStats, no_coincidences and the fields of
-montecarlo.ComparisonReport; quantum the setting, its expectation and the
-outcomes.
 """
 
 from __future__ import annotations
@@ -435,7 +435,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ghzdet", description=__doc__)
+    # --help prints the docstring but its last paragraph, which tells how the code works.
+    parser = _Parser(prog="ghzdet", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="joint-distribution feasibility of a moment tetrad")
@@ -521,7 +522,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.flush()  # so that output that cannot be written fails here
         return code
     except (ValueError, OSError, MemoryError) as exc:  # a MemoryError has no message
-        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
+        try:  # stderr is line-buffered: a line that cannot be written fails here
+            sys.stderr.write(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}\n")
+        except OSError:  # drop it, as stdout's rest below, so that exit's flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         if isinstance(exc, OSError):  # stdout: drop its rest, which would fail again at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR

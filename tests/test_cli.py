@@ -913,7 +913,8 @@ class TestErrorsExitTwo:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
-        return subprocess.run([sys.executable, "-m", "ghzdet.cli", *argv], stderr=subprocess.PIPE,
+        kwargs.setdefault("stderr", subprocess.PIPE)
+        return subprocess.run([sys.executable, "-m", "ghzdet.cli", *argv],
                               text=True, timeout=60, env=env, **kwargs)
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -936,6 +937,27 @@ class TestErrorsExitTwo:
             proc = self.ghzdet(*argv, buffered=buffered, stdout=full)
         assert proc.returncode == 2
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, stdout", [
+        (("check", "1", "1", "1", "-inf"), "pipe"),
+        (("check", "0.5", "0.5", "0.5", "-0.5"), "full"),
+        (("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "2",
+          "--d-min", "0.3", "--d-max", "0.7", "--d-steps", "3", "--ratio", "1e10",
+          "--out", "{missing}/sweep.csv"), "pipe"),
+    ], ids=["domain-error", "stdout-full", "sweep-out"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_stderr_on_a_full_device(self, tmp_path, argv, stdout, buffered):
+        # The error line cannot be written either.  The code is still 2: not
+        # the 1 of an error raised while reporting the first one, nor the 120
+        # of the interpreter's flush of stderr at exit.
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        with open("/dev/full", "w") as full:
+            proc = self.ghzdet(*argv, buffered=buffered, stderr=full,
+                               stdout=full if stdout == "full" else subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stdout in (None, "")
+        assert not (tmp_path / "missing").exists()
 
     def test_memory_that_runs_out(self):
         # 1e8 d steps do not fit under the limit, and _linspace raises

@@ -16,8 +16,9 @@ numpy in every output form, and it and `sweep` run even where numpy cannot
 be imported.  `sweep` shares its rows with helpers made by os.fork, so it
 loads no process-pool module and no subprocess.  `simulate` does import
 dataclasses, for montecarlo's RunConfig alone: its results RunStats and
-ComparisonReport are named tuples like every other record.  Only
-quantum.sample_many still imports numpy.
+ComparisonReport are named tuples like every other record.  No function
+imports numpy: quantum.sample_many draws with the caller's numpy generator
+(tests/test_quantum.py runs it where numpy cannot be imported).
 """
 
 import json

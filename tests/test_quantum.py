@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +216,37 @@ class TestSampling:
         a = sample_many(ghz_state(), "YYY", 100, np.random.default_rng(5))
         b = sample_many(ghz_state(), "YYY", 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("v", [1.0, -1.0, 0.0, 0.5, -0.3, 0.7071, 0.123456789])
+    def test_draws_match_the_inverse_cdf_reference(self, v):
+        # The inverse CDF, written out: the cumulative Born table searched
+        # with one uniform draw each, clamped at the u == 1.0 edge.
+        signs = np.array(quantum.OUTCOME_SIGNS, dtype=np.int64)
+        state = ghz_state(v)
+        for setting in ALL_SETTINGS:
+            cdf = np.cumsum(outcome_probabilities(state, setting))
+            for seed in range(5):
+                for n in (0, 1, 100, 100_003):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = sample_many(state, setting, n, rng)
+                    idx = np.searchsorted(cdf, ref_rng.random(n), side="right")
+                    want = signs[np.minimum(idx, 7)]
+                    assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((n, 3), np.int64)
+                    assert np.array_equal(got, want)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+            with pytest.raises(ValueError):
+                sample_many(state, setting, -1, np.random.default_rng(0))
+
+    def test_draws_where_numpy_cannot_be_imported(self):
+        # The generator is made first; a None entry in sys.modules then makes
+        # every `import numpy` raise ImportError.  .tolist(), because printing
+        # an array or its dtype imports numpy again.
+        script = ("import sys\nimport numpy as np\nrng = np.random.default_rng(1)\n"
+                  "sys.modules['numpy'] = None\nfrom ghzdet.quantum import ghz_state, sample_many\n"
+                  "print(sample_many(ghz_state(), 'XYY', 10, rng).tolist())")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        triples = json.loads(proc.stdout)
+        assert len(triples) == 10
+        assert all(s1 * s2 * s3 == 1 for s1, s2, s3 in triples)
