@@ -254,8 +254,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for j in range(k)]
     helpers: list[tuple[int, BinaryIO]] = []
     try:  # a fork, the open, every write and the final flush on close can fail
-        for rows in parts[1:]:
-            helpers.append(_fork_helper(rows))
+        try:
+            for rows in parts[1:]:
+                helpers.append(_fork_helper(rows))
+        except OSError as exc:  # before the open: no file is left
+            raise ValueError(f"cannot start a sweep helper: {exc}") from exc
         parts[1:] = [map(marshal.load, repeat(reader)) for _, reader in helpers]
         with open(args.out, "w") as stream:
             stream.write("gamma,d,E,sigma,separation\n")
@@ -424,6 +427,12 @@ class _Parser(argparse.ArgumentParser):
         # A private argparse name; its regex misses -inf (and -5e-1 on Python 3.11).
         self._negative_number_matcher = self
 
+    def _print_message(self, message: str, file=None) -> None:
+        """argparse's, but a message that cannot be written raises: main
+        reports it, as it does any output that cannot be written."""
+        if message:
+            (file or sys.stderr).write(message)
+
     @staticmethod
     def match(token: str) -> bool:
         """Whether a token that starts with '-' is a number."""
@@ -511,24 +520,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
-        if args.command == "simulate" and args.config:
-            # The file's lines go in as flags ahead of the command line, so the
-            # parser types them and a command-line flag, parsed later, wins.
-            at = argv.index("simulate") + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
-        code = args.func(args)
-        sys.stdout.flush()  # so that output that cannot be written fails here
-        return code
+        try:
+            args = parser.parse_args(argv)  # a usage error or --help raises SystemExit
+            if args.command == "simulate" and args.config:
+                # The file's lines go in as flags ahead of the command line, so the
+                # parser types them and a command-line flag, parsed later, wins.
+                at = argv.index("simulate") + 1
+                args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+            return args.func(args)
+        finally:  # so that output that cannot be written, --help's too, fails here
+            sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:  # a MemoryError has no message
         try:  # stderr is line-buffered: a line that cannot be written fails here
             sys.stderr.write(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}\n")
-        except OSError:  # drop it, as stdout's rest below, so that exit's flush cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-        if isinstance(exc, OSError):  # stdout: drop its rest, which would fail again at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # the line is dropped below
+            pass
         return EXIT_ERROR
+    finally:
+        # A stream that cannot take its bytes is pointed at the null device, so
+        # that the interpreter's flush at exit cannot fail (exit 120) after the
+        # code is set; argparse's SystemExit still reaches the caller.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from ghzdet import detector as det
 from ghzdet import lhv, montecarlo, quantum
 from ghzdet.detector import DetectorParams
 from ghzdet.lhv import CorrelationSet
+
+np = pytest.importorskip("numpy")
 
 
 def report(num, text):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import warnings
 import pytest
 
 from ghzdet import cli, detector, lhv, montecarlo
-from test_detector import exact_e_reference
+from references import exact_e_reference
 
 
 def run_cli(*argv, capsys=None):
@@ -38,6 +39,13 @@ class TestCheck:
         assert len(payload["slacks"]) == 8
         assert payload["f_value"] == pytest.approx(3.6)
         assert payload["witness"] is None
+
+    def test_one_float_past_the_bound(self, capsys):
+        # F = 2.0000000000000004: the bounds are inclusive, but not by an ulp more.
+        code, out = run_cli("check", *["0.5000000000000001"] * 3, "-0.5000000000000001",
+                            capsys=capsys)
+        assert code == 1
+        assert out.out.startswith("infeasible, F=2\n")
 
     def test_malformed_number(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -102,6 +110,23 @@ class TestCorrelation:
         assert neg.out.splitlines()[0] == "E = -0.923076923077"
         assert neg.out.splitlines()[1:] == pos.out.splitlines()[1:]
         assert neg.out.splitlines()[-1] == "separation = 1.1"
+
+    @pytest.mark.parametrize("flags, head", [
+        (("--d", "0.5", "--gamma", "6e-7", "--mode", "exact"), "E = 0.920469683013"),
+        # The signal leaves the normal range here; exact E is 6.25e-12.
+        (("--d", "1e-100", "--gamma", "1e-100", "--mode", "exact"), "E = 6.24999999969e-12"),
+    ], ids=["paper-exact", "subnormal-signal-exact"])
+    def test_text_head(self, capsys, flags, head):
+        code, out = run_cli("correlation", *flags, capsys=capsys)
+        assert (code, out.err) == (0, "")
+        assert out.out.splitlines()[0] == head
+
+    def test_exact_json_at_the_paper_point(self, capsys):
+        code, out = run_cli("correlation", "--d", "0.5", "--gamma", "6e-7", "--mode", "exact",
+                            "--json", capsys=capsys)
+        assert code == 0
+        params = detector.DetectorParams.from_ratio(0.5, 6e-7, 1e10)
+        assert json.loads(out.out)["e"] == exact_e_reference(params) == 0.9204696830127151
 
     def test_bad_ratio_counts(self, capsys):
         code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
@@ -555,6 +580,9 @@ class TestSweepParts:
                                        ("--mode", "exact")], ids=["approx", "exact"])
     def test_benchmark_grid_same_bytes(self, tmp_path, monkeypatch, capsys, flags):
         one = sweep_bytes(tmp_path, monkeypatch, 1, *GRID_300, *flags)
+        # A header and 90000 rows, then with --contour its two header lines
+        # and one row per d.
+        assert one.count(b"\n") == 1 + 90_000 + (2 + 300 if "--contour" in flags else 0)
         for parts in (2, 3):
             assert sweep_bytes(tmp_path, monkeypatch, parts, *GRID_300, *flags) == one
 
@@ -579,6 +607,31 @@ class TestSweepParts:
         code, out = run_cli("sweep", *GRID_300, "--out", "/dev/full", capsys=capsys)
         assert (code, out.out) == (2, "")
         assert out.err.startswith("error: cannot write /dev/full: ")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_helper_that_cannot_start(self, tmp_path, monkeypatch, capsys, call, parts):
+        # The last helper cannot start, before the file is opened: the error
+        # names the helper, not the file, and leaves neither the file nor a
+        # helper that did start.
+        calls, real = [], getattr(os, call)
+
+        def fail_last():
+            calls.append(call)
+            if len(calls) == parts - 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(cli, "_parts", lambda cells: parts)
+        monkeypatch.setattr(os, call, fail_last)
+        out_path = tmp_path / "sweep.csv"
+        code, out = run_cli(*SWEEP_3X3, "--out", str(out_path), capsys=capsys)
+        assert (code, out.out) == (2, "")
+        assert out.err == ("error: cannot start a sweep helper: "
+                           "[Errno 11] Resource temporarily unavailable\n")
+        assert not out_path.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -751,6 +804,12 @@ class TestSimulate:
         code, from_marked = run_cli("simulate", "--config", str(marked), "--json", capsys=capsys)
         assert code == 0, from_marked.err
         assert from_marked.out == from_plain.out
+
+    def test_ratio_form(self, capsys):
+        code, out = run_cli("simulate", "--d", "0.5", "--gamma", "1e-2", "--ratio", "99",
+                            "--trials", "1000000", "--seed", "1", "--json", capsys=capsys)
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out)["n_trials"] == 1_000_000
 
     @pytest.mark.parametrize("flag", ["--pair"])
     def test_ratio_excludes_pair_flags(self, tmp_path, capsys, flag):
@@ -959,6 +1018,28 @@ class TestErrorsExitTwo:
         assert proc.stdout in (None, "")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_usage_error_with_stderr_on_a_full_device(self, buffered):
+        # argparse's usage error exits 2, and the usage it could not write
+        # once made the interpreter's flush at exit fail with exit 120.
+        with open("/dev/full", "w") as full:
+            proc = self.ghzdet("check", "one", "0", "0", "0", buffered=buffered,
+                               stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [(), ("sweep",)], ids=["ghzdet", "sweep"])
+    def test_help_on_a_full_device(self, command, buffered):
+        # A help text that cannot be written is an error like any other
+        # output: once exit 120 with "Exception ignored" buffered, and exit 0
+        # unbuffered, where argparse dropped the failed write.
+        with open("/dev/full", "w") as full:
+            proc = self.ghzdet(*command, "--help", buffered=buffered, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
     def test_memory_that_runs_out(self):
         # 1e8 d steps do not fit under the limit, and _linspace raises
         # MemoryError.  256 MiB rather than the 1 GiB of the huge-grid test
@@ -1026,7 +1107,8 @@ class TestJsonSchema:
     order, with the values a direct call returns."""
 
     @pytest.mark.parametrize("tetrad, feasible", [(("0.5", "0.5", "0.5", "-0.5"), True),
-                                                  (("0.9", "0.9", "0.9", "-0.9"), False)])
+                                                  (("0.9", "0.9", "0.9", "-0.9"), False),
+                                                  (("1", "1", "1", "-1"), False)])
     def test_check_prints_the_feasibility_report(self, capsys, tetrad, feasible):
         code, out = run_cli("check", *tetrad, "--json", capsys=capsys)
         payload = json.loads(out.out)

@@ -3,7 +3,6 @@ import random
 import struct
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +10,9 @@ from hypothesis import strategies as st
 from ghzdet import detector as det
 from ghzdet import lhv
 from ghzdet.detector import DetectorParams
+from references import approx_e_reference, exact_e_reference, fire_reference
+
+np = pytest.importorskip("numpy")
 
 
 class TestParams:
@@ -68,39 +70,6 @@ def channel_probabilities(d, gamma):
 
 def twopair(d, gamma):
     return DetectorParams(d, gamma, 0.0, 1.0)
-
-
-def fire_reference(d, gamma):
-    """P(a detector fires) with 0, 1 and 2 photons on it, for floats or mpmath
-    numbers: the tests' one statement of the click rule's polynomial."""
-    return gamma, d + (1 - d) * gamma, d * (1 - d) + (1 - d) ** 2 * gamma
-
-
-def exact_e_reference(params):
-    """The exact E of params at 60 digits.
-
-    Its union is the recurrence u <- u + q (1 - u) over the ten channels of
-    ARRIVAL_COUNTS, independent of detector's closed form.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        d, g = mpmath.mpf(params.d), mpmath.mpf(params.gamma)
-        p_pair, p_twopair = mpmath.mpf(params.p_pair), mpmath.mpf(params.p_twopair)
-        fire = fire_reference(d, g)
-        union = mpmath.mpf(0)
-        for t, d1, d2, d3 in det.ARRIVAL_COUNTS:
-            union += fire[t] * fire[d1] * fire[d2] * fire[d3] * (1 - union)
-        signal = p_twopair * d**3 * fire[1]
-        return float(params.e_ghz * signal / (p_pair * union + p_twopair * fire[1] ** 4))
-
-
-def approx_e_reference(params):
-    """The approx E of params at 60 digits: e_ghz / (1 + 6 (p_pair/p_twopair) (gamma/d)^2)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        q = mpmath.mpf(params.gamma) / mpmath.mpf(params.d)
-        ratio = mpmath.mpf(params.p_pair) / mpmath.mpf(params.p_twopair)
-        return float(params.e_ghz / (1 + 6 * ratio * q * q))
 
 
 def bits(values):
@@ -446,6 +415,17 @@ class TestCorrectedCorrelation:
                 falls_in_gamma |= p4_pair[:, 1:] > 0.9
             assert np.all(falls_in_gamma)  # non-increasing in gamma
             assert np.all(np.diff(E, axis=0) >= -1e-15)  # non-decreasing in d
+
+    def test_exact_e_can_rise_with_gamma_below_the_lhv_bound(self):
+        # A counterexample to "E does not rise with gamma": at d = 1 - 1e-5
+        # and ratio 3.01 a dark trigger adds more signal than background, and
+        # exact E, about 0.2494, rises from gamma = 1 - 1e-5 to 1.  So an
+        # inverse in gamma (ROADMAP items 7 and 12) may assume that E does not
+        # rise with gamma only for levels >= 1/2, the LHV bound.
+        below, at_one = (DetectorParams.from_ratio(1.0 - 1e-5, g, 3.01) for g in (1.0 - 1e-5, 1.0))
+        assert exact_e_reference(below) == 0.24936907738148376
+        assert exact_e_reference(at_one) == 0.24936907738154593
+        assert det.corrected_correlation(at_one, "exact") > det.corrected_correlation(below, "exact")
 
 
 class TestProbabilityRanges:

@@ -18,15 +18,28 @@ loads no process-pool module and no subprocess.  `simulate` does import
 dataclasses, for montecarlo's RunConfig alone: its results RunStats and
 ComparisonReport are named tuples like every other record.  No function
 imports numpy: quantum.sample_many draws with the caller's numpy generator
-(tests/test_quantum.py runs it where numpy cannot be imported).
-"""
+(tests/test_quantum.py runs it where numpy cannot be imported), and no
+module of ghzdet holds an `import numpy` outside an `if TYPE_CHECKING:`
+block, which test_no_module_imports_numpy checks without running the code.
 
+The whole tier-1 suite also runs where numpy cannot be imported (the CI
+job `no-numpy`, which installs no numpy).  There test_acceptance,
+test_detector, test_lhv, test_montecarlo and test_quantum skip, as do the
+cases that call pytest.importorskip("numpy"); every other test runs.
+Locally, with numpy installed:
+
+    PYTHONPATH=src python -c "import sys; sys.modules['numpy'] = None; import pytest; sys.exit(pytest.main(['-q']))"
+"""
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import ghzdet
 
 
 def cli_call(*argv: str) -> str:
@@ -83,6 +96,66 @@ def test_import_loads_the_analysis_modules_only():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["ghzdet.lhv"]
+
+
+def test_importtime_reports_lhv():
+    # bench/traced.py reads ghzdet.lhv's self time, in microseconds, from
+    # this report's line "import time: <self> | <cumulative> | ghzdet.lhv".
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ghzdet"],
+                          capture_output=True, text=True, timeout=60, check=True)
+    rows = [[part.strip() for part in line.split("|")] for line in proc.stderr.splitlines()]
+    lhv = [row for row in rows if len(row) == 3 and row[2] == "ghzdet.lhv"]
+    assert len(lhv) == 1, proc.stderr
+    assert int(lhv[0][0].split()[-1]) >= 0
+
+
+def numpy_imports(source: str) -> list[int]:
+    """The lines of source that import numpy, or a module of it, outside an
+    `if TYPE_CHECKING:` block (whose else branch is searched)."""
+    def type_checking(test):
+        return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+    def is_numpy(name):
+        return name is not None and (name == "numpy" or name.startswith("numpy."))
+
+    lines = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import) and any(is_numpy(a.name) for a in node.names) or (
+                isinstance(node, ast.ImportFrom) and node.level == 0 and is_numpy(node.module)):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_numpy_imports_finds_each_form():
+    source = (
+        "import numpy\n"                       # 1
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"             # allowed
+        "else:\n"
+        "    from numpy import random\n"       # 6
+        "def f():\n"
+        "    import os, numpy.linalg as la\n"  # 8
+        "    if typing.TYPE_CHECKING:\n"
+        "        from numpy.random import Generator\n"  # allowed
+        "from .numpy import x\n"               # a relative module, not numpy
+        "import numpyro\n"
+    )
+    assert numpy_imports(source) == [1, 6, 8]
+
+
+@pytest.mark.parametrize("path", sorted(Path(ghzdet.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_numpy(path):
+    # Static, so that it covers code no test runs, and it runs where numpy
+    # is installed.  quantum.py imports numpy for its annotations only.
+    assert numpy_imports(path.read_text(encoding="utf-8")) == []
 
 
 SIMULATE = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",

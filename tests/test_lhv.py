@@ -4,7 +4,6 @@ import math
 import operator
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +18,8 @@ from ghzdet.lhv import (
     expectations_from_joint,
     feasible_oracle,
 )
+
+np = pytest.importorskip("numpy")
 
 correlations = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 tetrads = st.builds(CorrelationSet, correlations, correlations, correlations, correlations)

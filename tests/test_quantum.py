@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from ghzdet import lhv, quantum
@@ -15,6 +14,8 @@ from ghzdet.quantum import (
     outcome_probabilities,
     sample_many,
 )
+
+np = pytest.importorskip("numpy")
 
 # --- reference: the state and analyzers as explicit 8x8 Kronecker products ---
 #
