@@ -42,14 +42,6 @@ ATOM_SIGNS = (
 
 ATOM_LABELS = ("abc", "ab'c", "abc'", "ab'c'", "a'bc", "a'b'c", "a'bc'", "a'b'c'")
 
-# Sign patterns of the four inequalities applied to (E_A, E_B, E_C, E_ABC).
-INEQUALITY_SIGNS = (
-    (+1.0, +1.0, +1.0, -1.0),
-    (-1.0, +1.0, +1.0, +1.0),
-    (+1.0, -1.0, +1.0, +1.0),
-    (+1.0, +1.0, -1.0, +1.0),
-)
-
 
 class CorrelationSet(namedtuple("CorrelationSet", "e_a e_b e_c e_abc")):
     """The moment tetrad (E_A, E_B, E_C, E_ABC), each in [-1, 1]."""

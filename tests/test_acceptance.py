@@ -18,8 +18,6 @@ from ghzdet import lhv, montecarlo, quantum
 from ghzdet.detector import DetectorParams
 from ghzdet.lhv import CorrelationSet
 
-np = pytest.importorskip("numpy")
-
 
 def report(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
@@ -40,6 +38,7 @@ def test_acceptance_01_ghz_contradiction():
 
 
 def test_acceptance_02_oracle_equivalence():
+    np = pytest.importorskip("numpy")
     start = time.perf_counter()
     axis = np.linspace(-1.0, 1.0, 9)
     grid = np.array(list(itertools.product(axis, axis, axis, axis)))
@@ -60,6 +59,7 @@ def test_acceptance_02_oracle_equivalence():
 
 
 def test_acceptance_03_symmetric_construction():
+    np = pytest.importorskip("numpy")
     checked = 0
     for p in np.linspace(0.0, 1.0, 101):
         for q in np.linspace(0.0, 1.0, 101):

@@ -254,12 +254,12 @@ class TestSweep:
         # (E <= 0.5 at gamma = 1e-3), a saturated one (inf at gamma = 1e-12,
         # d = 0.9) and the contour.
         out_path = tmp_path / "sweep.csv"
-        code, _ = run_cli(
+        code, out = run_cli(
             "sweep", "--gamma-min", "1e-12", "--gamma-max", "1e-3", "--gamma-steps", "7",
             "--d-min", "0.1", "--d-max", "0.9", "--d-steps", "5", "--ratio", "1e10",
             "--contour", "0.92", "--out", str(out_path), capsys=capsys,
         )
-        assert code == 0
+        assert (code, out.out, out.err) == (0, f"wrote 35 rows to {out_path}\n", "")
         gammas, ds = cli._geomspace(1e-12, 1e-3, 7), cli._linspace(0.1, 0.9, 5)
         lines = ["gamma,d,E,sigma,separation"]
         for gamma in gammas:
@@ -1067,23 +1067,6 @@ class TestHelp:
         assert proc.stdout.startswith(f"usage: {' '.join(('ghzdet',) + command)} ")
         words = set(proc.stdout.replace(",", " ").replace("{", " ").replace("}", " ").split())
         assert set(HELP_WORDS[command]) <= words
-
-
-class TestDeterminismBytes:
-    def test_byte_identical_json_across_runs_and_workers(self):
-        base = [
-            sys.executable, "-m", "ghzdet.cli", "simulate",
-            "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--setting", "XYY", "--trials", "200000", "--seed", "7",
-            "--json",
-        ]
-        outputs = []
-        for workers in ("1", "1", "4"):
-            proc = subprocess.run(
-                base + ["--workers", workers], capture_output=True, check=True
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestJsonRoundTrip:

@@ -1,37 +1,16 @@
-"""What each call imports: no subcommand imports numpy, only the simulation
-imports dataclasses, and each loads only the ghzdet layers it runs.
+"""What each call loads, one fresh interpreter per call: the table gives the
+exact set of ghzdet modules and watched standard modules that the call leaves
+in sys.modules, and the call runs where every import of numpy raises
+ImportError.  So it loads only its layers, never asks for numpy, not even
+inside a caught ImportError, and works without it.  The static
+test_no_module_imports_numpy covers the code that no call runs.
 
-`import ghzdet` loads lhv alone; detector, quantum and the simulation,
-ghzdet.montecarlo, are imported by name.  `check` and `construct-joint` load
-cli and lhv; `correlation` and `sweep` add detector; `quantum` adds quantum;
-`simulate` adds detector, quantum and montecarlo.  json is imported only by
-a call that prints JSON.
+The whole suite also runs where numpy cannot be imported, in this process and
+in every interpreter a test starts:
 
-`check`, `construct-joint`, every form of `correlation`, `sweep` in both
-modes, `quantum` and the batch LHV masks run on plain floats, so a fresh
-interpreter running them never imports numpy.  The records are named tuples,
-so none of these statements imports dataclasses either.  `simulate` draws
-from the standard library's `random` and builds no array, so it runs without
-numpy in every output form, and it and `sweep` run even where numpy cannot
-be imported.  `sweep` shares its rows with helpers made by os.fork, so it
-loads no process-pool module and no subprocess.  `simulate` does import
-dataclasses, for montecarlo's RunConfig alone: its results RunStats and
-ComparisonReport are named tuples like every other record.  No function
-imports numpy: quantum.sample_many draws with the caller's numpy generator
-(tests/test_quantum.py runs it where numpy cannot be imported), and no
-module of ghzdet holds an `import numpy` outside an `if TYPE_CHECKING:`
-block, which test_no_module_imports_numpy checks without running the code.
-
-The whole tier-1 suite also runs where numpy cannot be imported (the CI
-job `no-numpy`, which installs no numpy).  There test_acceptance,
-test_detector, test_lhv, test_montecarlo and test_quantum skip, as do the
-cases that call pytest.importorskip("numpy"); every other test runs.
-Locally, with numpy installed:
-
-    PYTHONPATH=src python -c "import sys; sys.modules['numpy'] = None; import pytest; sys.exit(pytest.main(['-q']))"
+    PYTHONPATH=tests/no_numpy:src python -m pytest -q
 """
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -50,7 +29,8 @@ def cli_call(*argv: str) -> str:
 SWEEP = ("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "300",
          "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "300", "--ratio", "1e10",
          "--out", os.devnull)
-
+SIMULATE = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+            "--trials", "1000000", "--seed", "1")
 
 BATCH_MASKS = (
     "from ghzdet import lhv\n"
@@ -60,8 +40,13 @@ BATCH_MASKS = (
 )
 CLI = {"ghzdet.cli", "ghzdet.lhv"}
 DETECTOR = CLI | {"ghzdet.detector"}
+# montecarlo's RunConfig is the one dataclass.
+SIMULATION = DETECTOR | {"ghzdet.montecarlo", "ghzdet.quantum", "dataclasses"}
 
-# (id, statement, the ghzdet modules and json that it leaves in sys.modules)
+# The standard modules that a call may load only where it needs them.
+WATCHED = {"json", "dataclasses", "multiprocessing", "concurrent.futures", "subprocess"}
+# (id, statement, the modules it leaves in sys.modules: the ghzdet ones and
+# those of WATCHED)
 STATEMENTS = [
     ("import", "import ghzdet", {"ghzdet.lhv"}),
     ("check-json", cli_call("check", "1", "1", "1", "-1", "--json"), CLI | {"json"}),
@@ -73,29 +58,45 @@ STATEMENTS = [
     ("correlation-exact", cli_call("correlation", "--d", "0.5", "--gamma", "6e-7",
                                    "--mode", "exact", "--json"), DETECTOR | {"json"}),
     ("quantum", cli_call("quantum", "XXX"), CLI | {"ghzdet.quantum"}),
+    # sweep shares its rows with helpers made by os.fork: no process module.
     ("sweep-approx-contour", cli_call(*SWEEP, "--contour", "0.92"), DETECTOR),
     ("sweep-exact", cli_call(*SWEEP, "--mode", "exact"), DETECTOR),
     ("batch-masks", BATCH_MASKS, {"ghzdet.lhv"}),
+    ("simulate", cli_call(*SIMULATE), SIMULATION),
+    ("simulate-json", cli_call(*SIMULATE, "--json"), SIMULATION | {"json"}),
+    ("simulate-json-events", cli_call(*SIMULATE, "--json", "--events", os.devnull),
+     SIMULATION | {"json"}),
 ]
 
+# The finder comes first on sys.meta_path, so it sees every import of numpy,
+# also where numpy is not installed; a None entry in sys.modules would answer
+# such an import before any finder, so it goes.
+CHILD = """\
+import sys
+tried = []
+class NoNumpy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            tried.append(name)
+            raise ImportError(f"{{name}} cannot be imported here")
+if sys.modules.get("numpy", 0) is None:
+    del sys.modules["numpy"]
+sys.meta_path.insert(0, NoNumpy)
+{statement}
+print(*sorted({{m for m in sys.modules if m.startswith("ghzdet.") or m in {watched!r}}}
+              | ({{"numpy"}} if tried else set())))
+"""
 
-@pytest.mark.parametrize("statement", [s for _, s, _ in STATEMENTS],
+
+@pytest.mark.parametrize("statement, modules", [(s, m) for _, s, m in STATEMENTS],
                          ids=[i for i, _, _ in STATEMENTS])
-def test_numpy_not_imported(statement):
-    script = (f"import sys\n{statement}\n"
-              "sys.exit(3 if 'numpy' in sys.modules else 4 if 'dataclasses' in sys.modules else 0)")
+def test_each_call_loads_only_its_layers(statement, modules):
+    script = CHILD.format(statement=statement, watched=sorted(WATCHED))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
-    imported = {3: "numpy", 4: "dataclasses"}.get(proc.returncode, "?")
-    assert proc.returncode == 0, f"{imported} imported (exit {proc.returncode}): {proc.stderr}"
-
-
-def test_import_loads_the_analysis_modules_only():
-    # bench/traced.py reads ghzdet.lhv's -X importtime line from `import ghzdet`.
-    script = "import sys, ghzdet\nprint(*sorted(m for m in sys.modules if m.startswith('ghzdet.')))"
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["ghzdet.lhv"]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1].split() == sorted(modules)
 
 
 def test_importtime_reports_lhv():
@@ -156,73 +157,3 @@ def test_no_module_imports_numpy(path):
     # Static, so that it covers code no test runs, and it runs where numpy
     # is installed.  quantum.py imports numpy for its annotations only.
     assert numpy_imports(path.read_text(encoding="utf-8")) == []
-
-
-SIMULATE = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", "1000000", "--seed", "1")
-
-
-SIMULATE_MODULES = DETECTOR | {"ghzdet.montecarlo", "ghzdet.quantum"}
-
-
-@pytest.mark.parametrize(
-    "statement, modules",
-    [(s, m) for _, s, m in STATEMENTS] + [
-        (cli_call(*SIMULATE), SIMULATE_MODULES),
-        (cli_call(*SIMULATE, "--json", "--events", os.devnull), SIMULATE_MODULES | {"json"}),
-    ],
-    ids=[i for i, _, _ in STATEMENTS] + ["simulate", "simulate-json-events"],
-)
-def test_each_call_loads_only_its_layers(statement, modules):
-    script = (f"import sys\n{statement}\n"
-              "print(*sorted(m for m in sys.modules if m.startswith('ghzdet.') or m == 'json'))")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == sorted(modules)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [SIMULATE, SIMULATE + ("--json",), SIMULATE + ("--json", "--events", os.devnull)],
-    ids=["text", "json", "events"],
-)
-def test_simulate_does_not_import_numpy(argv):
-    script = (f"import sys\n{cli_call(*argv)}\n"
-              "sys.exit(3 if 'numpy' in sys.modules else 0)")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, f"numpy imported (exit {proc.returncode}): {proc.stderr}"
-
-
-def test_simulate_runs_where_numpy_cannot_be_imported():
-    # A None entry in sys.modules makes every `import numpy` raise ImportError.
-    script = ("import sys\nsys.modules['numpy'] = None\nfrom ghzdet import cli\n"
-              f"sys.exit(cli.main({list(SIMULATE + ('--json',))!r}))")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["n_trials"] == 1_000_000
-
-
-@pytest.mark.parametrize("argv", [SWEEP + ("--contour", "0.92"), SWEEP + ("--mode", "exact")],
-                         ids=["approx-contour", "exact"])
-def test_sweep_runs_where_numpy_cannot_be_imported(argv):
-    script = ("import sys\nsys.modules['numpy'] = None\nfrom ghzdet import cli\n"
-              f"sys.exit(cli.main({list(argv)!r}))")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == f"wrote 90000 rows to {os.devnull}\n"
-
-
-@pytest.mark.parametrize("argv", [SWEEP + ("--contour", "0.92"), SWEEP + ("--mode", "exact")],
-                         ids=["approx-contour", "exact"])
-def test_sweep_loads_no_process_module(argv):
-    script = (f"import sys\n{cli_call(*argv)}\n"
-              "print(*sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} "
-              "& set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [f"wrote 90000 rows to {os.devnull}", ""]

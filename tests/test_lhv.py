@@ -48,6 +48,9 @@ def enumeration_mask(tetrads: np.ndarray) -> np.ndarray:
     return (solutions >= -lhv.SIMPLEX_TOL).all(axis=2).any(axis=1)
 
 
+# Sign patterns of the four inequalities applied to (E_A, E_B, E_C, E_ABC),
+# stated here apart from lhv._sums, which the tests check against them.
+INEQUALITY_SIGNS = ((1, 1, 1, -1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1))
 # Moment vectors (E_A, E_B, E_C, E_ABC) of the atoms abc, ab'c, abc', ab'c'.
 HADAMARD_ROWS = np.array([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)])
 
@@ -68,7 +71,7 @@ def facet_adjacent_tetrads(n: int, seed: int) -> list[tuple[float, float, float,
     out = []
     while len(out) < n:
         e_a, e_b, e_c = rng.uniform(-1.0, 1.0, size=3).tolist()
-        signs = lhv.INEQUALITY_SIGNS[int(rng.integers(4))]
+        signs = INEQUALITY_SIGNS[int(rng.integers(4))]
         bound = 2.0 if rng.integers(2) else -2.0
         e_abc = (bound - signs[0] * e_a - signs[1] * e_b - signs[2] * e_c) / signs[3]
         if not -1.0 <= e_abc <= 1.0:
@@ -98,7 +101,7 @@ def sum_left_to_right(values) -> float:
 def reference_slacks(c: CorrelationSet) -> tuple[float, ...]:
     """The slacks as check_inequalities computed them with a sum() loop."""
     slacks = []
-    for row in lhv.INEQUALITY_SIGNS:
+    for row in INEQUALITY_SIGNS:
         v = sum_left_to_right(map(operator.mul, row, c))
         slacks.append(v + 2.0)
         slacks.append(2.0 - v)
