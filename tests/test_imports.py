@@ -2,7 +2,8 @@
 exact set of ghzdet modules and watched standard modules that the call leaves
 in sys.modules, and the call runs where every import of numpy raises
 ImportError.  So it loads only its layers, never asks for numpy, not even
-inside a caught ImportError, and works without it.  The static
+inside a caught ImportError, and works without it.  Each call runs once; the
+tests after the table read single properties off the same runs.  The static
 test_no_module_imports_numpy covers the code that no call runs.
 
 The whole suite also runs where numpy cannot be imported, in this process and
@@ -11,6 +12,8 @@ in every interpreter a test starts:
     PYTHONPATH=tests/no_numpy:src python -m pytest -q
 """
 import ast
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -89,14 +92,57 @@ print(*sorted({{m for m in sys.modules if m.startswith("ghzdet.") or m in {watch
 """
 
 
-@pytest.mark.parametrize("statement, modules", [(s, m) for _, s, m in STATEMENTS],
-                         ids=[i for i, _, _ in STATEMENTS])
-def test_each_call_loads_only_its_layers(statement, modules):
-    script = CHILD.format(statement=statement, watched=sorted(WATCHED))
+ROWS = {i: (s, m) for i, s, m in STATEMENTS}
+
+
+@functools.cache
+def run(row: str) -> tuple[list[str], set[str]]:
+    """The row's call, run once: its output lines and the modules it loaded."""
+    script = CHILD.format(statement=ROWS[row][0], watched=sorted(WATCHED))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1].split() == sorted(modules)
+    assert (proc.returncode, proc.stderr) == (0, ""), row
+    *out, loaded = proc.stdout.splitlines()
+    return out, set(loaded.split())
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_each_call_loads_only_its_layers(row):
+    assert run(row)[1] == ROWS[row][1]
+
+
+@pytest.mark.parametrize("row", [i for i, (_, m) in ROWS.items() if "dataclasses" not in m])
+def test_numpy_not_imported(row):
+    # Every record but montecarlo's RunConfig is a named tuple.
+    assert not run(row)[1] & {"numpy", "dataclasses"}
+
+
+def test_import_loads_the_analysis_modules_only():
+    assert {m for m in run("import")[1] if m.startswith("ghzdet.")} == {"ghzdet.lhv"}
+
+
+@pytest.mark.parametrize("row", ["simulate", "simulate-json", "simulate-json-events"],
+                         ids=["text", "json", "events"])
+def test_simulate_does_not_import_numpy(row):
+    assert "numpy" not in run(row)[1]
+
+
+def test_simulate_runs_where_numpy_cannot_be_imported():
+    assert json.loads("\n".join(run("simulate-json")[0]))["n_trials"] == 1_000_000
+
+
+SWEEP_ROWS = pytest.mark.parametrize("row", ["sweep-approx-contour", "sweep-exact"],
+                                     ids=["approx-contour", "exact"])
+
+
+@SWEEP_ROWS
+def test_sweep_runs_where_numpy_cannot_be_imported(row):
+    assert run(row)[0] == [f"wrote 90000 rows to {os.devnull}"]
+
+
+@SWEEP_ROWS
+def test_sweep_loads_no_process_module(row):
+    assert not run(row)[1] & {"multiprocessing", "concurrent.futures", "subprocess"}
 
 
 def test_importtime_reports_lhv():
