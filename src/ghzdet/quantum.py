@@ -16,12 +16,8 @@ v rho + (1 - v) I/8, and for v < 0 rotates particle 1 by Z,
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .lhv import CorrelationSet
-
-if TYPE_CHECKING:
-    import numpy as np
 
 WITNESS_SETTINGS = ("XYY", "YXY", "YYX", "XXX")
 
@@ -80,7 +76,8 @@ def outcome_probabilities(state: GHZState, setting: str) -> tuple[float, ...]:
     return tuple((1.0 + s * e) / 8.0 for s in OUTCOME_PRODUCTS)
 
 
-def sample_many(state: GHZState, setting: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n outcome triples through rng, the caller's numpy generator, so
-    that this module imports nothing; returns an (n, 3) array of ±1 signs."""
+def sample_many(state: GHZState, setting: str, n: int, rng):
+    """Draw n outcome triples through rng, the caller's numpy.random.Generator,
+    so that this module imports nothing; returns an (n, 3) numpy.ndarray of
+    ±1 signs."""
     return rng.choice(OUTCOME_SIGNS, size=n, p=outcome_probabilities(state, setting))

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,6 +18,49 @@ def run_cli(*argv, capsys=None):
     code = cli.main(list(argv))
     out = capsys.readouterr() if capsys else None
     return code, out
+
+
+@pytest.fixture
+def fails(capsys, tmp_path, monkeypatch):
+    """fails(argv, message): ghzdet refuses the call in one line and leaves
+    nothing behind.
+
+    Its own error returns 2 with stderr exactly `error: <message>`; a message
+    that ends in ": " is followed on that line by the OS's text.  With prog,
+    argparse's usage error raises SystemExit(2) and the last line of stderr is
+    `<prog>: error: <message>`.  Either way stdout is empty, no file appears
+    under tmp_path and no child process is left.  A sweep checks its input
+    before it forks: it may fork no helper, though _parts gives it two,
+    unless parts names the processes it runs on."""
+
+    def fork():
+        raise AssertionError("forked before the input was checked")
+
+    def check(argv, message, prog=None, parts=None):
+        monkeypatch.setattr(cli, "_parts", lambda cells: parts or 2)
+        if parts is None:
+            monkeypatch.setattr(os, "fork", fork)
+        before = set(tmp_path.rglob("*"))
+        capsys.readouterr()
+        if prog is None:
+            code = cli.main(list(argv))
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(argv))
+            code = exc.value.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        if prog is not None:
+            assert err.endswith(f"\n{prog}: error: {message}\n"), err
+        elif message.endswith(": "):
+            assert re.fullmatch(re.escape(f"error: {message}") + ".+\n", err), err
+        else:
+            assert err == f"error: {message}\n"
+        assert set(tmp_path.rglob("*")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check
 
 
 class TestCheck:
@@ -47,14 +91,12 @@ class TestCheck:
         assert code == 1
         assert out.out.startswith("infeasible, F=2\n")
 
-    def test_malformed_number(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["check", "one", "0", "0", "0"])
-        assert exc.value.code == 2
+    def test_malformed_number(self, fails):
+        fails(["check", "one", "0", "0", "0"], "argument e_a: invalid float value: 'one'",
+              prog="ghzdet check")
 
-    def test_out_of_range_value(self, capsys):
-        code, _ = run_cli("check", "1.5", "0", "0", "0", capsys=capsys)
-        assert code == 2
+    def test_out_of_range_value(self, fails):
+        fails(["check", "1.5", "0", "0", "0"], "e_a=1.5 outside [-1, 1]")
 
 
 class TestConstructJoint:
@@ -65,9 +107,8 @@ class TestConstructJoint:
         assert payload["atoms"][0] == pytest.approx(0.25)
         assert sum(payload["atoms"]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_out_of_band(self, capsys):
-        code, _ = run_cli("construct-joint", "1", "0", capsys=capsys)
-        assert code == 2
+    def test_out_of_band(self, fails):
+        fails(["construct-joint", "1", "0"], "3p - q = 3.0 > 2: above the symmetric feasibility band")
 
 
 class TestCorrelation:
@@ -128,24 +169,22 @@ class TestCorrelation:
         params = detector.DetectorParams.from_ratio(0.5, 6e-7, 1e10)
         assert json.loads(out.out)["e"] == exact_e_reference(params) == 0.9204696830127151
 
-    def test_bad_ratio_counts(self, capsys):
-        code, _ = run_cli("correlation", "--ratio-counts", "nope", capsys=capsys)
-        assert code == 2
+    def test_bad_ratio_counts(self, fails):
+        fails(["correlation", "--ratio-counts", "nope"],
+              "--ratio-counts expects A:B with B > 0, got 'nope'")
 
     @pytest.mark.parametrize("counts", ["inf:1", "nan:1", "1e300:1e-300", "1:inf", "-1:-12"])
-    def test_non_finite_ratio_counts(self, capsys, counts):
+    def test_non_finite_ratio_counts(self, fails, counts):
         # The `=` form keeps argparse from reading "-1:-12" as an option.
-        code, out = run_cli("correlation", f"--ratio-counts={counts}", capsys=capsys)
-        assert code == 2
-        assert out.out == ""
-        assert "--ratio-counts" in out.err
+        # 1e300:1e-300 has finite counts, but not a finite ratio.
+        need = ("must give a finite ratio" if counts == "1e300:1e-300"
+                else "needs finite counts A >= 0 and B > 0")
+        fails(["correlation", f"--ratio-counts={counts}"], f"--ratio-counts {need}, got {counts!r}")
 
     @pytest.mark.parametrize("e_ghz", ["5", "nan"])
-    def test_ratio_counts_checks_e_ghz(self, capsys, e_ghz):
-        code, out = run_cli("correlation", "--ratio-counts", "1:12", "--e-ghz", e_ghz,
-                            capsys=capsys)
-        assert code == 2
-        assert out.err == f"error: e_ghz={float(e_ghz)} outside [-1, 1]\n"
+    def test_ratio_counts_checks_e_ghz(self, fails, e_ghz):
+        fails(["correlation", "--ratio-counts", "1:12", "--e-ghz", e_ghz],
+              f"e_ghz={float(e_ghz)} outside [-1, 1]")
 
     def test_no_background_counts_gives_one(self, capsys):
         code, out = run_cli("correlation", "--ratio-counts", "0:1", capsys=capsys)
@@ -196,12 +235,10 @@ class TestCorrelation:
         "rate, window, field",
         [("nan", "1e-9", "dark_rate"), ("1", "nan", "window"), ("inf", "0", "dark_rate")],
     )
-    def test_non_finite_rates(self, capsys, rate, window, field):
-        code, out = run_cli(
-            "correlation", "--dark-rate", rate, "--window", window, capsys=capsys
-        )
-        assert code == 2
-        assert f"{field}=" in out.err
+    def test_non_finite_rates(self, fails, rate, window, field):
+        value = {"dark_rate": rate, "window": window}[field]
+        fails(["correlation", "--dark-rate", rate, "--window", window],
+              f"{field}={float(value)} must be finite and >= 0")
 
     @pytest.mark.parametrize("flags, message", [
         (["--gamma", "1e-7", "--dark-rate", "300", "--window", "2e-9"], "not both"),
@@ -216,12 +253,13 @@ class TestCorrelation:
         (["--ratio-counts", "1:12", "--ratio", "5"], "--ratio-counts takes no"),
         (["--ratio-counts", "1:12", "--mode", "exact"], "--ratio-counts takes no"),
     ])
-    def test_conflicting_inputs_are_rejected(self, capsys, flags, message):
+    def test_conflicting_inputs_are_rejected(self, fails, flags, message):
         # Each of these once printed an E from one input and ignored the rest.
-        code, out = run_cli("correlation", *flags, capsys=capsys)
-        assert code == 2
-        assert out.out == ""
-        assert message in out.err
+        fails(["correlation", *flags], {
+            "not both": "give --gamma or --dark-rate/--window, not both",
+            "--ratio-counts takes no": "--ratio-counts takes no --gamma, --dark-rate, --window, "
+                                       "--d, --ratio or --mode",
+        }.get(message, message))
 
 
 class TestSweep:
@@ -333,30 +371,20 @@ class TestSweep:
         gamma = float(contour[0].split(",")[1])
         assert 5.9e-7 <= gamma <= 6.1e-7
 
-    def test_exact_mode_contour_rejected(self, tmp_path, capsys):
+    def test_exact_mode_contour_rejected(self, fails, tmp_path):
         # The contour inverts the approx model only; with --mode exact it
         # would list gammas that are off the exact level.
-        out_path = tmp_path / "sweep.csv"
-        code, out = run_cli(
-            "sweep", "--gamma-min", "1e-3", "--gamma-max", "1e-2", "--gamma-steps", "2",
-            "--d-min", "0.2", "--d-max", "0.9", "--d-steps", "8", "--ratio", "1e4",
-            "--mode", "exact", "--contour", "0.6", "--out", str(out_path), capsys=capsys,
-        )
-        assert code == 2
-        assert "approx" in out.err
-        assert not out_path.exists()
+        fails(["sweep", "--gamma-min", "1e-3", "--gamma-max", "1e-2", "--gamma-steps", "2",
+               "--d-min", "0.2", "--d-max", "0.9", "--d-steps", "8", "--ratio", "1e4",
+               "--mode", "exact", "--contour", "0.6", "--out", str(tmp_path / "sweep.csv")],
+              "--contour inverts only the approx model; use --mode approx")
 
     @pytest.mark.parametrize("level", ["nan", "5", "-1", "0"])
-    def test_impossible_contour_level_rejected(self, tmp_path, capsys, level):
-        out_path = tmp_path / "sweep.csv"
-        code, out = run_cli(
-            "sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
-            "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10",
-            "--contour", level, "--out", str(out_path), capsys=capsys,
-        )
-        assert code == 2
-        assert "--contour" in out.err
-        assert not out_path.exists()
+    def test_impossible_contour_level_rejected(self, fails, tmp_path, level):
+        fails(["sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
+               "--d-min", "0.5", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10",
+               "--contour", level, "--out", str(tmp_path / "sweep.csv")],
+              f"--contour {float(level)} is outside (0, --e-ghz 1.0]")
 
     def test_unreached_contour_level_gives_empty_block(self, tmp_path, capsys):
         # E = 1e-12 needs gamma = 2.0 at d = 0.5 and 2.4 at d = 0.6.
@@ -409,48 +437,31 @@ class TestSweep:
         es = [float(r[2]) for r in rows if r[1] == "0.5"]
         assert es == sorted(es, reverse=True)
 
-    def test_unwritable_path(self, capsys):
-        code, _ = run_cli(
-            "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
-            "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2",
-            "--ratio", "1e10", "--out", "/nonexistent-dir/sweep.csv", capsys=capsys,
-        )
-        assert code == 2
+    def test_unwritable_path(self, fails):
+        fails([*SWEEP_2X2, "--out", "/nonexistent-dir/sweep.csv"],
+              "cannot write /nonexistent-dir/sweep.csv: ", parts=1)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_write_failure(self, capsys):
+    def test_write_failure(self, fails):
         # /dev/full opens but fails every write (or the flush on close).
-        code, out = run_cli(
-            "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
-            "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2",
-            "--ratio", "1e10", "--out", "/dev/full", capsys=capsys,
-        )
-        assert code == 2
-        assert out.out == ""
-        assert out.err.startswith("error: cannot write /dev/full: ")
+        fails([*SWEEP_2X2, "--out", "/dev/full"], "cannot write /dev/full: ", parts=1)
 
     @pytest.mark.parametrize("flag, value", [
         ("--ratio", "-1"), ("--ratio", "nan"), ("--e-ghz", "2"),
         ("--d-min", "0"), ("--gamma-steps", "1"),
     ])
-    def test_rejected_grid_writes_no_file(self, tmp_path, capsys, monkeypatch, flag, value):
+    def test_rejected_grid_writes_no_file(self, fails, tmp_path, flag, value):
         # The file is opened, and a helper forked, only after every check of
         # the grid, so a rejected grid forks nothing even where it would run
         # on two processes.  The flag comes last, and argparse keeps the last
         # value given.
-        def fork():
-            raise AssertionError("forked before the grid was checked")
-
-        monkeypatch.setattr(cli, "_parts", lambda cells: 2)
-        monkeypatch.setattr(os, "fork", fork)
-        out_path = tmp_path / "sweep.csv"
-        code, _ = run_cli(
-            "sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
-            "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2",
-            "--ratio", "1e10", "--out", str(out_path), flag, value, capsys=capsys,
-        )
-        assert code == 2
-        assert not out_path.exists()
+        fails([*SWEEP_2X2, "--out", str(tmp_path / "sweep.csv"), flag, value], {
+            ("--ratio", "-1"): "ratio=-1.0 must be finite and >= 0",
+            ("--ratio", "nan"): "ratio=nan must be finite and >= 0",
+            ("--e-ghz", "2"): "e_ghz=2.0 outside [-1, 1]",
+            ("--d-min", "0"): "d bounds must satisfy 0 < min <= max <= 1",
+            ("--gamma-steps", "1"): "step counts must be >= 2",
+        }[flag, value])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_huge_grid_fails_at_the_first_write(self):
@@ -601,18 +612,13 @@ class TestSweepParts:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("parts", [2, 3])
-    def test_write_failure_leaves_no_helper(self, monkeypatch, capsys, parts):
+    def test_write_failure_leaves_no_helper(self, fails, parts):
         # A helper left running, or not reaped, would outlive the call.
-        monkeypatch.setattr(cli, "_parts", lambda cells: parts)
-        code, out = run_cli("sweep", *GRID_300, "--out", "/dev/full", capsys=capsys)
-        assert (code, out.out) == (2, "")
-        assert out.err.startswith("error: cannot write /dev/full: ")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        fails(["sweep", *GRID_300, "--out", "/dev/full"], "cannot write /dev/full: ", parts=parts)
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     @pytest.mark.parametrize("parts", [2, 3])
-    def test_helper_that_cannot_start(self, tmp_path, monkeypatch, capsys, call, parts):
+    def test_helper_that_cannot_start(self, fails, tmp_path, monkeypatch, call, parts):
         # The last helper cannot start, before the file is opened: the error
         # names the helper, not the file, and leaves neither the file nor a
         # helper that did start.
@@ -624,20 +630,15 @@ class TestSweepParts:
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
             return real()
 
-        monkeypatch.setattr(cli, "_parts", lambda cells: parts)
         monkeypatch.setattr(os, call, fail_last)
-        out_path = tmp_path / "sweep.csv"
-        code, out = run_cli(*SWEEP_3X3, "--out", str(out_path), capsys=capsys)
-        assert (code, out.out) == (2, "")
-        assert out.err == ("error: cannot start a sweep helper: "
-                           "[Errno 11] Resource temporarily unavailable\n")
-        assert not out_path.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        fails([*SWEEP_3X3, "--out", str(tmp_path / "sweep.csv")],
+              "cannot start a sweep helper: [Errno 11] Resource temporarily unavailable",
+              parts=parts)
 
-    def test_failed_helper_is_a_write_error(self, tmp_path, monkeypatch, capsys):
+    def test_failed_helper_is_a_write_error(self, fails, monkeypatch):
         # A helper that stops before sending its rows says nothing itself;
-        # the parent reports the file it could not complete.
+        # the parent reports the file it could not complete, here the null
+        # device, since a file it began stays.
         parent, correlation_rows = os.getpid(), detector.correlation_rows
 
         def rows(*args):
@@ -646,15 +647,10 @@ class TestSweepParts:
                     raise RuntimeError("helper failed")
                 yield row
 
-        monkeypatch.setattr(cli, "_parts", lambda cells: 2)
         monkeypatch.setattr(detector, "correlation_rows", rows)
-        out_path = tmp_path / "sweep.csv"
-        code, out = run_cli("sweep", *GRID_300, "--out", str(out_path), capsys=capsys)
-        assert (code, out.out) == (2, "")
-        assert out.err == (f"error: cannot write {out_path}: "
-                           "a sweep helper stopped before it sent all its rows\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        fails(["sweep", *GRID_300, "--out", os.devnull],
+              f"cannot write {os.devnull}: a sweep helper stopped before it sent all its rows",
+              parts=2)
 
     def test_fork_beside_a_thread_warns_nothing(self, tmp_path, monkeypatch, capsys):
         # From Python 3.12 os.fork warns where the process runs other threads,
@@ -681,12 +677,9 @@ class TestSweepParts:
 
 
 class TestSimulate:
-    def test_requires_seed(self, capsys):
-        code, _ = run_cli(
-            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", "1000", capsys=capsys,
-        )
-        assert code == 2
+    def test_requires_seed(self, fails):
+        fails(["simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99", "--trials", "1000"],
+              "simulate requires an explicit seed (no time-based seeding)")
 
     def test_trivial_run(self, capsys):
         code, out = run_cli(
@@ -751,13 +744,13 @@ class TestSimulate:
         assert json.loads(out.out)["e_hat"] == 1.0
 
     @pytest.mark.parametrize("line, flag", [("trials=1e6", "--trials"), ("d=abc", "--d")])
-    def test_config_type_error_names_the_flag(self, tmp_path, capsys, line, flag):
+    def test_config_type_error_names_the_flag(self, fails, tmp_path, line, flag):
         config = tmp_path / "run.cfg"
         config.write_text(f"d=0.5\ngamma=1e-2\npair=0.99\ntrials=1000\nseed=1\n{line}\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--config", str(config)])
-        assert exc.value.code == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        kind = "int" if flag == "--trials" else "float"
+        fails(["simulate", "--config", str(config)],
+              f"argument {flag}: invalid {kind} value: {line.partition('=')[2]!r}",
+              prog="ghzdet simulate")
 
     def test_config_value_beats_parser_default(self, tmp_path, capsys):
         flags = ("--d", "0.5", "--gamma", "1e-2", "--pair", "0.99", "--trials", "1000",
@@ -812,81 +805,56 @@ class TestSimulate:
         assert json.loads(out.out)["n_trials"] == 1_000_000
 
     @pytest.mark.parametrize("flag", ["--pair"])
-    def test_ratio_excludes_pair_flags(self, tmp_path, capsys, flag):
+    def test_ratio_excludes_pair_flags(self, fails, tmp_path, flag):
         flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")
-        code, out = run_cli("simulate", *flags, "--ratio", "99", flag, "0.5", capsys=capsys)
-        assert code == 2
-        assert "--ratio" in out.err and flag in out.err
+        fails(["simulate", *flags, "--ratio", "99", flag, "0.5"], f"give --ratio or {flag}, not both")
         config = tmp_path / "run.cfg"
         config.write_text("ratio=99\n")
-        code, out = run_cli("simulate", "--config", str(config), *flags, flag, "0.5",
-                            capsys=capsys)
-        assert code == 2
-        assert "--ratio" in out.err and flag in out.err
+        fails(["simulate", "--config", str(config), *flags, flag, "0.5"],
+              f"give --ratio or {flag}, not both")
 
-    def test_twopair_is_not_an_input(self, tmp_path, capsys):
+    def test_twopair_is_not_an_input(self, fails, tmp_path):
         # --pair p gives two pairs 1 - p, and --ratio is the precise form.
         flags = ("--d", "0.5", "--gamma", "1e-2", "--trials", "1000", "--seed", "1")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", *flags, "--twopair", "0.5"])
-        assert exc.value.code == 2
+        fails(["simulate", *flags, "--twopair", "0.5"], "unrecognized arguments: --twopair 0.5",
+              prog="ghzdet")
         config = tmp_path / "run.cfg"
         config.write_text("twopair=0.5\n")
-        code, out = run_cli("simulate", "--config", str(config), *flags, capsys=capsys)
-        assert code == 2
-        assert "unknown config key 'twopair'" in out.err
+        fails(["simulate", "--config", str(config), *flags], "unknown config key 'twopair'")
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    def test_unknown_config_key(self, fails, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("bogus=1\n")
-        code, _ = run_cli("simulate", "--config", str(config), capsys=capsys)
-        assert code == 2
+        fails(["simulate", "--config", str(config)], "unknown config key 'bogus'")
 
-    def test_too_many_trials(self, capsys):
-        code, out = run_cli(
-            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", "100000000000000000000", "--seed", "1", capsys=capsys,
-        )
-        assert code == 2
-        assert "n_trials" in out.err
+    def test_too_many_trials(self, fails):
+        fails(["simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+               "--trials", "100000000000000000000", "--seed", "1"],
+              "n_trials must be in [1, 2**63 - 1]")
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        code, out = run_cli("simulate", "--config", str(tmp_path / "run.cfg"), capsys=capsys)
-        assert code == 2
-        assert "cannot read" in out.err
+    def test_missing_config_file(self, fails, tmp_path):
+        config = tmp_path / "run.cfg"
+        fails(["simulate", "--config", str(config)], f"cannot read {config}: ")
 
-    def test_unwritable_event_log(self, tmp_path, capsys):
-        code, out = run_cli(
-            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", "1000", "--seed", "1", "--events", str(tmp_path / "no-dir" / "x.log"),
-            capsys=capsys,
-        )
-        assert code == 2
-        assert "cannot write" in out.err
+    def test_unwritable_event_log(self, fails, tmp_path):
+        log = tmp_path / "no-dir" / "x.log"
+        fails(["simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+               "--trials", "1000", "--seed", "1", "--events", str(log)], f"cannot write {log}: ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_event_log_write_failure(self, capsys):
+    def test_event_log_write_failure(self, fails):
         # /dev/full opens but fails every write: an OSError once escaped with exit 1.
-        code, out = run_cli(
-            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", "1000000", "--seed", "1", "--events", "/dev/full", capsys=capsys,
-        )
-        assert code == 2
-        assert out.out == ""
-        assert out.err.startswith("error: cannot write /dev/full: ")
+        fails(["simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+               "--trials", "1000000", "--seed", "1", "--events", "/dev/full"],
+              "cannot write /dev/full: ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_event_log_is_streamed(self, capsys):
+    def test_event_log_is_streamed(self, fails):
         # About 7.4e15 fourfolds: a log held in memory before it is written
         # died here with MemoryError and exit 1.
-        code, out = run_cli(
-            "simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
-            "--trials", str(2**63 - 1), "--seed", str(2**64 - 1), "--e-ghz", "0.3",
-            "--setting", "XXX", "--json", "--events", "/dev/full", capsys=capsys,
-        )
-        assert code == 2
-        assert out.out == ""
-        assert out.err.startswith("error: cannot write /dev/full: ")
+        fails(["simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
+               "--trials", str(2**63 - 1), "--seed", str(2**64 - 1), "--e-ghz", "0.3",
+               "--setting", "XXX", "--json", "--events", "/dev/full"], "cannot write /dev/full: ")
 
     def test_fourfolds_without_a_model_correlation(self, capsys):
         # p_twopair = 0: fourfolds from dark counts, but no model E.
@@ -935,9 +903,8 @@ class TestQuantum:
         code, out = run_cli("quantum", "XXX", "--json", capsys=capsys)
         assert json.loads(out.out)["expectation"] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_bad_setting(self, capsys):
-        code, _ = run_cli("quantum", "XQZ", capsys=capsys)
-        assert code == 2
+    def test_bad_setting(self, fails):
+        fails(["quantum", "XQZ"], "setting must be three letters from {X, Y}, got 'XQZ'")
 
 
 # The words each help text must show: subcommand names for `ghzdet --help`,
@@ -1119,6 +1086,8 @@ class TestJsonSchema:
         assert {k: v for k, v in payload.items() if k not in stats_keys} == as_json(report._asdict())
 
 
+SWEEP_2X2 = ("sweep", "--gamma-min", "1e-7", "--gamma-max", "1e-6", "--gamma-steps", "2",
+             "--d-min", "0.4", "--d-max", "0.6", "--d-steps", "2", "--ratio", "1e10")
 SWEEP_3X3 = ("sweep", "--gamma-min", "1e-8", "--gamma-max", "1e-5", "--gamma-steps", "3",
              "--d-min", "0.3", "--d-max", "0.9", "--d-steps", "3", "--ratio", "1e10")
 SIMULATE_1K = ("simulate", "--d", "0.5", "--gamma", "1e-2", "--pair", "0.99",
@@ -1187,6 +1156,5 @@ class TestNegativeNumbers:
         (("check", "1", "1", "1", "-nan"), "e_abc=nan outside [-1, 1]"),
         (("correlation", "--ratio-counts", "1:12", "--e-ghz", "-inf"), "e_ghz=-inf outside [-1, 1]"),
     ])
-    def test_non_finite_values_reach_the_range_checks(self, capsys, argv, message):
-        code, out = run_cli(*argv, capsys=capsys)
-        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+    def test_non_finite_values_reach_the_range_checks(self, fails, argv, message):
+        fails(argv, message)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzdet import cli
 from ghzdet import detector as det
 from ghzdet import lhv
 from ghzdet.detector import DetectorParams
 from references import approx_e_reference, exact_e_reference, fire_reference
-
-np = pytest.importorskip("numpy")
 
 
 class TestParams:
@@ -391,30 +390,20 @@ class TestCorrectedCorrelation:
                 assert approx == pytest.approx(exact, rel=1e-3)
 
     def test_monotone_in_gamma_and_d(self):
-        ds = np.linspace(0.01, 1.0, 101)
-        gs = np.linspace(0.0, 1.0, 101)
+        ds = cli._linspace(0.01, 1.0, 101)
+        gs = cli._linspace(0.0, 1.0, 101)
         for mode in ("approx", "exact"):
-            E = np.array(
-                [
-                    [
-                        det.corrected_correlation(
-                            DetectorParams.from_ratio(float(d), float(g), 1e4), mode
-                        )
-                        for g in gs
-                    ]
-                    for d in ds
-                ]
-            )
-            falls_in_gamma = np.diff(E, axis=1) <= 1e-15
-            if mode == "exact":
-                # Where the pair union saturates (>= 0.936 at gamma >= 0.7 on
-                # this grid) the background cannot grow while a dark trigger
-                # still adds signal, and E rises by up to 1.05e-7.
-                p4_pair = np.array([[det.pair_fourfold_probability(float(d), float(g)) for g in gs]
-                                    for d in ds])
-                falls_in_gamma |= p4_pair[:, 1:] > 0.9
-            assert np.all(falls_in_gamma)  # non-increasing in gamma
-            assert np.all(np.diff(E, axis=0) >= -1e-15)  # non-decreasing in d
+            E = [[det.corrected_correlation(DetectorParams.from_ratio(d, g, 1e4), mode) for g in gs]
+                 for d in ds]
+            for d, row in zip(ds, E):  # non-increasing in gamma
+                for g, before, e in zip(gs[1:], row, row[1:]):
+                    # Where the pair union saturates (>= 0.936 at gamma >= 0.7 on
+                    # this grid) the background cannot grow while a dark trigger
+                    # still adds signal, and exact E rises by up to 1.05e-7.
+                    saturated = mode == "exact" and det.pair_fourfold_probability(d, g) > 0.9
+                    assert e - before <= 1e-15 or saturated, (mode, d, g)
+            for lower, higher in zip(E, E[1:]):  # non-decreasing in d
+                assert all(e - below >= -1e-15 for below, e in zip(lower, higher)), mode
 
     def test_exact_e_can_rise_with_gamma_below_the_lhv_bound(self):
         # A counterexample to "E does not rise with gamma": at d = 1 - 1e-5
@@ -431,11 +420,10 @@ class TestCorrectedCorrelation:
 class TestProbabilityRanges:
     def test_unit_interval_on_grid(self):
         # Every probability of the model lies in [0, 1], large gamma included.
-        ds = np.linspace(0.0, 1.0, 101)
-        gs = np.linspace(0.0, 1.0, 101)
+        ds = cli._linspace(0.0, 1.0, 101)
+        gs = cli._linspace(0.0, 1.0, 101)
         for d in ds:
             for g in gs:
-                d, g = float(d), float(g)
                 values = (
                     *det.fire_probabilities(d, g),
                     det.pair_fourfold_probability(d, g),
@@ -447,9 +435,9 @@ class TestProbabilityRanges:
                     assert 0.0 <= v <= 1.0, (d, g, values)
 
     def test_perfect_detectors_only_signal(self):
-        for g in np.linspace(0.0, 0.1, 11):
-            assert det.signal_probability(twopair(1.0, float(g))) == pytest.approx(1.0)
-            assert det.fourfold_probability(twopair(1.0, float(g))) == pytest.approx(1.0)
+        for g in cli._linspace(0.0, 0.1, 11):
+            assert det.signal_probability(twopair(1.0, g)) == pytest.approx(1.0)
+            assert det.fourfold_probability(twopair(1.0, g)) == pytest.approx(1.0)
 
 
 class TestObservedRatio:
@@ -475,9 +463,9 @@ class TestSigma:
     def test_sigma_matches_bernoulli_variance(self):
         # A ±1 product with mean E is +1 with probability p = (1 + E)/2, and
         # its variance 1 - E^2 is the Bernoulli 4 p (1 - p).
-        for e in np.linspace(-1.0, 1.0, 41):
-            p_plus = (1.0 + float(e)) / 2.0
-            assert det.sigma_of_correlation(float(e)) ** 2 == pytest.approx(
+        for e in cli._linspace(-1.0, 1.0, 41):
+            p_plus = (1.0 + e) / 2.0
+            assert det.sigma_of_correlation(e) ** 2 == pytest.approx(
                 4 * p_plus * (1 - p_plus), abs=1e-12
             )
 
@@ -523,14 +511,15 @@ class TestSigma:
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_float_chain_equals_its_grid_cell(self, mode):
         # E, sigma and the separation of each float (d, gamma), bit for bit
-        # against the same cell of one sweep grid.  The grid strides the 300x300
-        # sweep in bench/workloads.py and keeps its row 285, where glibc's
-        # pow(g, 2) and g*g differ.  gamma = 1e-2 puts E below the bound
-        # (separation nan), gamma = 1e-13 puts 1 - E below 1e-13 (inf).
+        # against the same cell of one sweep grid.  The grid strides the axes
+        # that `ghzdet sweep` writes for the 300x300 sweep in bench/workloads.py
+        # and keeps its row 285, where glibc's pow(g, 2) and g*g differ.
+        # gamma = 1e-2 puts E below the bound (separation nan), gamma = 1e-13
+        # puts 1 - E below 1e-13 (inf).
         # (gamma/d)^2 overflows at d = 1e-170, and at d = 1e-310 so does
         # gamma/d; at ratio 0 there is no background to overflow.
-        gammas = [1e-13] + np.geomspace(1e-8, 1e-5, 300)[::15].tolist() + [1e-2, 1.0]
-        ds = [1e-310, 1e-170] + np.linspace(0.3, 0.9, 300)[::2].tolist()
+        gammas = [1e-13] + cli._geomspace(1e-8, 1e-5, 300)[::15] + [1e-2, 1.0]
+        ds = [1e-310, 1e-170] + cli._linspace(0.3, 0.9, 300)[::2]
         for ratio in (1e10, 0.0):
             rows = list(det.correlation_rows(gammas, ds, ratio, mode=mode))
             assert len(rows) == len(gammas) and {len(row) for row in rows} == {3 * len(ds)}

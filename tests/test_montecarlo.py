@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,6 @@ from ghzdet import montecarlo as mc
 from ghzdet.detector import DetectorParams
 from ghzdet.montecarlo import RunConfig, compare_analytic, run
 from references import fire_reference
-
-np = pytest.importorskip("numpy")
 
 SCALED = DetectorParams(0.5, 1e-2, 0.99, 0.01)
 
@@ -147,7 +146,7 @@ class TestRun:
                 abs(run(scaled_config(n_trials=n, master_seed=seed)).e_hat - analytic)
                 for seed in range(101, 122)
             ]
-            errors.append(float(np.median(runs)))
+            errors.append(statistics.median(runs))
         assert errors[0] > errors[1] > errors[2]
 
     def test_ghz_subset_purity(self):
